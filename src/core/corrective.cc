@@ -1,8 +1,5 @@
 #include "core/corrective.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/stage.h"
 #include "obs/trace.h"
 
@@ -11,16 +8,16 @@ namespace divexp {
 std::vector<CorrectiveItem> FindCorrectiveItems(
     const PatternTable& table, const CorrectiveOptions& options) {
   obs::ScopedSpan span(obs::kStageCorrective);
-  std::vector<CorrectiveItem> out;
+  CorrectiveSelector selector(options, [&table](size_t row) {
+    return ItemSpan(table.row(row).items);
+  });
   // Every frequent superset K = I ∪ {α} defines |K| candidate pairs
   // (drop each item in turn); enumerating supersets guarantees both
   // sides of the comparison are in the table. The base row I comes
-  // straight off the lattice links; an itemset is materialized only
-  // for the (rare) pairs that actually qualify.
+  // straight off the lattice links.
   for (size_t i = 0; i < table.size(); ++i) {
     const PatternRow& row = table.row(i);
     const Itemset& k = row.items;
-    if (k.empty()) continue;
     const std::span<const uint32_t> links = table.SubsetLinks(i);
     for (size_t j = 0; j < k.size(); ++j) {
       const uint32_t link = links[j];
@@ -28,30 +25,18 @@ std::vector<CorrectiveItem> FindCorrectiveItems(
       if (link == PatternTable::kNoLink) continue;
       const PatternRow& base_row = table.row(link);
       if (base_row.items.empty()) continue;  // Δ(∅) = 0: nothing to correct
-      const double factor =
-          std::fabs(base_row.divergence) - std::fabs(row.divergence);
-      if (factor <= options.min_factor || factor <= 0.0) continue;
-      CorrectiveItem c;
-      c.base = base_row.items;
-      c.item = k[j];
-      c.base_divergence = base_row.divergence;
-      c.with_divergence = row.divergence;
-      c.factor = factor;
-      c.t = row.t;
-      out.push_back(std::move(c));
+      selector.Offer(i, link, k[j], base_row.divergence, row.divergence);
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CorrectiveItem& a, const CorrectiveItem& b) {
-                     if (a.factor != b.factor) return a.factor > b.factor;
-                     if (a.base.size() != b.base.size()) {
-                       return a.base.size() < b.base.size();
-                     }
-                     if (a.base != b.base) return a.base < b.base;
-                     return a.item < b.item;
-                   });
-  if (options.top_k != 0 && out.size() > options.top_k) {
-    out.resize(options.top_k);
+  const std::vector<CorrectiveCandidate> kept = selector.Take();
+  std::vector<CorrectiveItem> out;
+  out.reserve(kept.size());
+  for (const CorrectiveCandidate& c : kept) {
+    const PatternRow& base_row = table.row(c.base);
+    const PatternRow& row = table.row(c.superset);
+    out.push_back(CorrectiveItem{base_row.items, c.item,
+                                 base_row.divergence, row.divergence,
+                                 c.factor, row.t});
   }
   return out;
 }

@@ -113,6 +113,9 @@ class PatternTable {
         .subspan(link_offsets_[i], link_offsets_[i + 1] - link_offsets_[i]);
   }
 
+  /// Every row's SubsetLinks back to back, in row order.
+  std::span<const uint32_t> subset_links() const { return subset_links_; }
+
   /// Sort key for ranking patterns (paper §5: itemsets can be ranked
   /// by significance, support or f-divergence).
   enum class RankKey {

@@ -39,6 +39,8 @@ inline constexpr const char* kStageGlobal = "analysis.global";
 inline constexpr const char* kStageCorrective = "analysis.corrective";
 inline constexpr const char* kStagePrune = "analysis.prune";
 inline constexpr const char* kStageSliceFinder = "slicefinder.search";
+/// Writing the serving artifact (--save-artifact); items = bytes written.
+inline constexpr const char* kStageArtifact = "output.artifact";
 /// Sharded exploration (src/shard): per-shard mining attempts, the
 /// SON phase-2 candidate recount, and the final table merge.
 inline constexpr const char* kStageShardMine = "shard.mine";

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -12,6 +13,8 @@
 
 #include "core/table_snapshot.h"
 #include "obs/metrics.h"
+#include "obs/stage.h"
+#include "obs/trace.h"
 #include "recovery/atomic_file.h"
 #include "recovery/crc32.h"
 #include "recovery/snapshot_file.h"
@@ -73,9 +76,41 @@ size_t AlignUp(size_t n) {
   return (n + kArtifactAlignment - 1) & ~(kArtifactAlignment - 1);
 }
 
-void AppendRaw(std::string* out, const void* data, size_t size) {
-  if (size == 0) return;  // empty vectors may hand out a null data()
-  out->append(static_cast<const char*>(data), size);
+/// Rows serialized per chunk of a streamed section: the write holds one
+/// chunk, never the file.
+constexpr size_t kChunkRows = 4096;
+
+void AppendU64(std::string* out, uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+void AppendF64(std::string* out, double v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// One section's table entry, filled in as its bytes stream past.
+struct SectionEntry {
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+/// Pads the file to the next section boundary and starts `entry` there.
+Status BeginSection(recovery::AtomicFileWriter& file, SectionEntry* entry) {
+  const uint64_t at = file.bytes_appended();
+  const uint64_t aligned = AlignUp(at);
+  DIVEXP_RETURN_NOT_OK(file.Append(std::string(aligned - at, '\0')));
+  *entry = SectionEntry{aligned, 0, 0};
+  return Status::OK();
+}
+
+/// Appends `bytes` to the section `entry` describes and folds them into
+/// its CRC.
+Status AppendToSection(recovery::AtomicFileWriter& file,
+                       std::string_view bytes, SectionEntry* entry) {
+  entry->crc = recovery::Crc32Update(entry->crc, bytes.data(), bytes.size());
+  entry->size += bytes.size();
+  return file.Append(bytes);
 }
 
 void PatchU32(std::string* out, size_t offset, uint32_t v) {
@@ -241,94 +276,113 @@ uint64_t TableFingerprint(const TableView& view) {
 Status WritePatternTableArtifact(const std::string& path,
                                  const PatternTable& table,
                                  uint64_t* bytes_written) {
+  obs::ScopedSpan span(obs::kStageArtifact);
   DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
   const size_t n = table.size();
+  DIVEXP_ASSIGN_OR_RETURN(std::unique_ptr<recovery::AtomicFileWriter> file,
+                          recovery::AtomicFileWriter::Create(path));
 
-  // Materialize the columns. The table is already resident, so the
-  // transient doubling is bounded by the table's own footprint.
-  std::vector<uint64_t> item_offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    item_offsets[i + 1] = item_offsets[i] + table.row(i).items.size();
-  }
-  const uint64_t total_items = item_offsets[n];
-  std::vector<uint32_t> items;
-  items.reserve(total_items);
-  std::vector<uint64_t> tallies;
-  tallies.reserve(3 * n);
-  std::vector<double> stats;
-  stats.reserve(4 * n);
-  std::vector<uint32_t> subset_links;
-  subset_links.reserve(total_items);
-  std::vector<uint64_t> link_offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
+  // Header and section table go last, over this placeholder, once every
+  // section's offset, size and CRC is known.
+  std::string head(kArtifactHeaderSize +
+                       kArtifactSectionCount * kArtifactSectionEntrySize,
+                   '\0');
+  DIVEXP_RETURN_NOT_OK(file->Append(head));
+
+  SectionEntry entries[kArtifactSectionCount];
+  const auto entry_of = [&entries](ArtifactSection id) {
+    return &entries[static_cast<size_t>(id) - 1];
+  };
+  const auto write_section = [&](ArtifactSection id,
+                                 std::string_view bytes) -> Status {
+    DIVEXP_RETURN_NOT_OK(BeginSection(*file, entry_of(id)));
+    return AppendToSection(*file, bytes, entry_of(id));
+  };
+  // A row-wise section is one pass over the rows, kChunkRows at a time;
+  // `put_row(i)` appends row i's bytes to `chunk`.
+  std::string chunk;
+  const auto stream_rows = [&](ArtifactSection id,
+                               const auto& put_row) -> Status {
+    DIVEXP_RETURN_NOT_OK(BeginSection(*file, entry_of(id)));
+    for (size_t begin = 0; begin < n; begin += kChunkRows) {
+      chunk.clear();
+      const size_t end = std::min(n, begin + kChunkRows);
+      for (size_t i = begin; i < end; ++i) put_row(i);
+      DIVEXP_RETURN_NOT_OK(AppendToSection(*file, chunk, entry_of(id)));
+    }
+    return Status::OK();
+  };
+
+  DIVEXP_RETURN_NOT_OK(stream_rows(ArtifactSection::kItems, [&](size_t i) {
+    const Itemset& items = table.row(i).items;
+    if (items.empty()) return;  // an empty vector may hand out a null data()
+    chunk.append(reinterpret_cast<const char*>(items.data()),
+                 items.size() * sizeof(uint32_t));
+  }));
+  uint64_t item_end = 0;
+  DIVEXP_RETURN_NOT_OK(
+      stream_rows(ArtifactSection::kItemOffsets, [&](size_t i) {
+        if (i == 0) AppendU64(&chunk, 0);
+        item_end += table.row(i).items.size();
+        AppendU64(&chunk, item_end);
+      }));
+  DIVEXP_RETURN_NOT_OK(stream_rows(ArtifactSection::kTallies, [&](size_t i) {
+    const OutcomeCounts& counts = table.row(i).counts;
+    AppendU64(&chunk, counts.t);
+    AppendU64(&chunk, counts.f);
+    AppendU64(&chunk, counts.bot);
+  }));
+  DIVEXP_RETURN_NOT_OK(stream_rows(ArtifactSection::kStats, [&](size_t i) {
     const PatternRow& row = table.row(i);
-    items.insert(items.end(), row.items.begin(), row.items.end());
-    tallies.push_back(row.counts.t);
-    tallies.push_back(row.counts.f);
-    tallies.push_back(row.counts.bot);
-    stats.push_back(row.support);
-    stats.push_back(row.rate);
-    stats.push_back(row.divergence);
-    stats.push_back(row.t);
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
-    subset_links.insert(subset_links.end(), links.begin(), links.end());
-    link_offsets[i + 1] = link_offsets[i] + links.size();
-  }
-  const std::string catalog_blob = SerializeCatalog(table.catalog());
+    AppendF64(&chunk, row.support);
+    AppendF64(&chunk, row.rate);
+    AppendF64(&chunk, row.divergence);
+    AppendF64(&chunk, row.t);
+  }));
+  // The table already holds every row's links back to back.
+  const std::span<const uint32_t> links = table.subset_links();
+  DIVEXP_RETURN_NOT_OK(write_section(
+      ArtifactSection::kSubsetLinks,
+      std::string_view(reinterpret_cast<const char*>(links.data()),
+                       links.size_bytes())));
+  uint64_t link_end = 0;
+  DIVEXP_RETURN_NOT_OK(
+      stream_rows(ArtifactSection::kLinkOffsets, [&](size_t i) {
+        if (i == 0) AppendU64(&chunk, 0);
+        link_end += table.SubsetLinks(i).size();
+        AppendU64(&chunk, link_end);
+      }));
+  DIVEXP_RETURN_NOT_OK(write_section(ArtifactSection::kCatalog,
+                                     SerializeCatalog(table.catalog())));
 
-  struct SectionPayload {
-    ArtifactSection id;
-    const void* data;
-    size_t size;
-  };
-  const SectionPayload sections[kArtifactSectionCount] = {
-      {ArtifactSection::kItems, items.data(), items.size() * 4},
-      {ArtifactSection::kItemOffsets, item_offsets.data(),
-       item_offsets.size() * 8},
-      {ArtifactSection::kTallies, tallies.data(), tallies.size() * 8},
-      {ArtifactSection::kStats, stats.data(), stats.size() * 8},
-      {ArtifactSection::kSubsetLinks, subset_links.data(),
-       subset_links.size() * 4},
-      {ArtifactSection::kLinkOffsets, link_offsets.data(),
-       link_offsets.size() * 8},
-      {ArtifactSection::kCatalog, catalog_blob.data(),
-       catalog_blob.size()},
-  };
-
-  std::string out(kArtifactHeaderSize +
-                      kArtifactSectionCount * kArtifactSectionEntrySize,
-                  '\0');
   for (size_t s = 0; s < kArtifactSectionCount; ++s) {
-    out.resize(AlignUp(out.size()), '\0');
     const size_t entry =
         kArtifactHeaderSize + s * kArtifactSectionEntrySize;
-    PatchU32(&out, entry, static_cast<uint32_t>(sections[s].id));
-    PatchU64(&out, entry + 8, out.size());
-    PatchU64(&out, entry + 16, sections[s].size);
-    PatchU32(&out, entry + 24,
-             recovery::Crc32(sections[s].data, sections[s].size));
-    AppendRaw(&out, sections[s].data, sections[s].size);
+    PatchU32(&head, entry, static_cast<uint32_t>(s + 1));
+    PatchU64(&head, entry + 8, entries[s].offset);
+    PatchU64(&head, entry + 16, entries[s].size);
+    PatchU32(&head, entry + 24, entries[s].crc);
   }
-
-  PatchU64(&out, 0, kArtifactMagic);
-  PatchU32(&out, 8, kArtifactVersion);
-  PatchU32(&out, 12, kArtifactEndianTag);
-  PatchU64(&out, 16, out.size());
-  PatchU64(&out, 24, TableFingerprint(table));
-  PatchU64(&out, 32, n);
-  PatchU64(&out, 40, table.num_dataset_rows());
-  PatchF64(&out, 48, table.global_rate());
-  PatchF64(&out, 56, table.global_mean());
-  PatchF64(&out, 64, table.global_variance());
-  PatchU32(&out, 72, kArtifactSectionCount);
-  PatchU32(&out, 76,
-           recovery::Crc32(out.data() + kArtifactHeaderSize,
+  const uint64_t file_size = file->bytes_appended();
+  PatchU64(&head, 0, kArtifactMagic);
+  PatchU32(&head, 8, kArtifactVersion);
+  PatchU32(&head, 12, kArtifactEndianTag);
+  PatchU64(&head, 16, file_size);
+  PatchU64(&head, 24, TableFingerprint(table));
+  PatchU64(&head, 32, n);
+  PatchU64(&head, 40, table.num_dataset_rows());
+  PatchF64(&head, 48, table.global_rate());
+  PatchF64(&head, 56, table.global_mean());
+  PatchF64(&head, 64, table.global_variance());
+  PatchU32(&head, 72, kArtifactSectionCount);
+  PatchU32(&head, 76,
+           recovery::Crc32(head.data() + kArtifactHeaderSize,
                            kArtifactSectionCount *
                                kArtifactSectionEntrySize));
-  PatchU32(&out, 80, recovery::Crc32(out.data(), 80));
-
-  DIVEXP_RETURN_NOT_OK(recovery::WriteFileAtomic(path, out));
-  if (bytes_written != nullptr) *bytes_written = out.size();
+  PatchU32(&head, 80, recovery::Crc32(head.data(), 80));
+  DIVEXP_RETURN_NOT_OK(file->WriteAt(0, head));
+  DIVEXP_RETURN_NOT_OK(file->Commit());
+  if (bytes_written != nullptr) *bytes_written = file_size;
   return Status::OK();
 }
 

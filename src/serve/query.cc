@@ -229,7 +229,8 @@ Result<std::vector<ItemContribution>> QueryEngine::Shapley(
 Result<std::vector<CorrectiveItem>> QueryEngine::Corrective(
     const CorrectiveOptions& options, RunGuard* guard) const {
   const TableView& view = *view_;
-  std::vector<CorrectiveItem> out;
+  CorrectiveSelector selector(
+      options, [&view](size_t row) { return view.row_items(row); });
   for (size_t i = 0; i < view.size(); ++i) {
     if (guard != nullptr && !guard->Tick()) return GuardStatus(guard);
     if (!view.row_ok(i)) {
@@ -237,7 +238,6 @@ Result<std::vector<CorrectiveItem>> QueryEngine::Corrective(
                            " has out-of-range offsets");
     }
     const ItemSpan k = view.row_items(i);
-    if (k.empty()) continue;
     const std::span<const uint32_t> links = view.row_links(i);
     for (size_t j = 0; j < k.size(); ++j) {
       const uint32_t link = links[j];
@@ -247,32 +247,20 @@ Result<std::vector<CorrectiveItem>> QueryEngine::Corrective(
                              " under row " + std::to_string(i) +
                              " is out of range");
       }
-      const ItemSpan base_items = view.row_items(link);
-      if (base_items.empty()) continue;  // Δ(∅) = 0: nothing to correct
-      const double factor = std::fabs(view.divergence(link)) -
-                            std::fabs(view.divergence(i));
-      if (factor <= options.min_factor || factor <= 0.0) continue;
-      CorrectiveItem c;
-      c.base.assign(base_items.begin(), base_items.end());
-      c.item = k[j];
-      c.base_divergence = view.divergence(link);
-      c.with_divergence = view.divergence(i);
-      c.factor = factor;
-      c.t = view.t(i);
-      out.push_back(std::move(c));
+      if (view.row_items(link).empty()) continue;  // Δ(∅) = 0
+      selector.Offer(i, link, k[j], view.divergence(link),
+                     view.divergence(i));
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CorrectiveItem& a, const CorrectiveItem& b) {
-                     if (a.factor != b.factor) return a.factor > b.factor;
-                     if (a.base.size() != b.base.size()) {
-                       return a.base.size() < b.base.size();
-                     }
-                     if (a.base != b.base) return a.base < b.base;
-                     return a.item < b.item;
-                   });
-  if (options.top_k != 0 && out.size() > options.top_k) {
-    out.resize(options.top_k);
+  const std::vector<CorrectiveCandidate> kept = selector.Take();
+  std::vector<CorrectiveItem> out;
+  out.reserve(kept.size());
+  for (const CorrectiveCandidate& c : kept) {
+    const ItemSpan base_items = view.row_items(c.base);
+    out.push_back(CorrectiveItem{Itemset(base_items.begin(), base_items.end()),
+                                 c.item, view.divergence(c.base),
+                                 view.divergence(c.superset), c.factor,
+                                 view.t(c.superset)});
   }
   return out;
 }

@@ -74,8 +74,8 @@ class QueryEngine {
   Result<std::vector<ItemContribution>> Shapley(
       const Itemset& items, RunGuard* guard = nullptr) const;
 
-  /// Corrective-item scan (paper Def. 4.2); replicates
-  /// FindCorrectiveItems.
+  /// Corrective-item scan (paper Def. 4.2); ranks and cuts with the
+  /// same CorrectiveSelector as FindCorrectiveItems.
   Result<std::vector<CorrectiveItem>> Corrective(
       const CorrectiveOptions& options, RunGuard* guard = nullptr) const;
 

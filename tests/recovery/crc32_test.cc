@@ -1,0 +1,62 @@
+// CRC32 (IEEE, reflected): the standard check values, and agreement of
+// the word-at-a-time update with a bit-at-a-time reference at every
+// length, alignment and split point around the 8-byte word boundary.
+#include "recovery/crc32.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "util/random.h"
+
+namespace divexp {
+namespace recovery {
+namespace {
+
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32Test, EmptyInputIsZero) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32Update(0, nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, ChunkedUpdatesMatchOneShotAtEverySplit) {
+  Rng rng(7);
+  // Room for every length at every start offset within a word.
+  std::vector<unsigned char> storage(67 + 8);
+  for (size_t len = 0; len <= 67; ++len) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      unsigned char* buf = storage.data() + misalign;
+      for (size_t i = 0; i < len; ++i) {
+        buf[i] = static_cast<unsigned char>(rng.Below(256));
+      }
+      const uint32_t one_shot = Crc32(buf, len);
+      ASSERT_EQ(one_shot, BitwiseCrc32(buf, len))
+          << "len " << len << " misalign " << misalign;
+      for (size_t split = 0; split <= len; ++split) {
+        const uint32_t head = Crc32Update(0, buf, split);
+        ASSERT_EQ(Crc32Update(head, buf + split, len - split), one_shot)
+            << "len " << len << " misalign " << misalign << " split "
+            << split;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace recovery
+}  // namespace divexp

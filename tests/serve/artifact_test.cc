@@ -8,13 +8,16 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
+#include "recovery/crc32.h"
 #include "serve/server.h"
 #include "testing/test_explore.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace divexp {
@@ -110,6 +113,25 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
   for (const ArtifactSectionInfo& s : info.sections) {
     EXPECT_EQ(s.offset % kArtifactAlignment, 0u);
   }
+}
+
+/// 27,878 rows: every row-wise section spans several of the writer's
+/// stream chunks.
+const PatternTable& MultiChunkTable() {
+  static const PatternTable table = MakeRandomTable(2024, 1500, 8, 3, 0.002);
+  return table;
+}
+
+// Golden size and whole-file CRC32 of one fixture's artifact: a change
+// to how the file is assembled that moves any byte shows here; a
+// deliberate format change bumps kArtifactVersion and these constants.
+TEST(ArtifactTest, WrittenBytesMatchGolden) {
+  constexpr uint64_t kGoldenSize = 3112648;
+  constexpr uint32_t kGoldenCrc = 0xF3135163u;
+  const PatternTable& table = MultiChunkTable();
+  const std::string bytes = WriteArtifactBytes(table, "golden");
+  EXPECT_EQ(bytes.size(), kGoldenSize) << table.size() << " rows";
+  EXPECT_EQ(recovery::Crc32(bytes), kGoldenCrc);
 }
 
 TEST(ArtifactTest, FingerprintAgreesBetweenTableAndBothBackings) {
@@ -398,6 +420,39 @@ TEST(ArtifactTest, MigrationFromSnapshotIsLossless) {
   ExpectViewMatchesTable((*artifact)->view(), table);
   EXPECT_EQ((*artifact)->fingerprint(), TableFingerprint(table));
 }
+
+#if defined(DIVEXP_FAILPOINTS_ENABLED)
+// The streamed write keeps the atomic-replace contract: a write that
+// fails or dies at any point of the stream leaves the previous artifact
+// in place and no temp file beside it.
+TEST(ArtifactCrashSafetyTest, FailedWriteKeepsPreviousArtifact) {
+  const PatternTable old_table = MakeRandomTable(21);
+  for (const char* spec :
+       {"io.atomic.write_fail@1:return-error",
+        "io.atomic.write_fail@4:return-error",
+        "io.atomic.write_fail@20:return-error",
+        "io.atomic.mid_write@1:return-error",
+        "io.atomic.mid_write@9:return-error"}) {
+    SCOPED_TRACE(spec);
+    const std::string dir = TempDir(std::string("crash_") + spec);
+    std::filesystem::remove_all(dir);
+    DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
+    const std::string path = dir + "/table.dvt";
+    ASSERT_TRUE(WritePatternTableArtifact(path, old_table).ok());
+    const std::string old_bytes = *recovery::ReadFileToString(path);
+    {
+      ScopedFailPoints scope(spec);
+      EXPECT_FALSE(WritePatternTableArtifact(path, MultiChunkTable()).ok());
+    }
+    EXPECT_EQ(*recovery::ReadFileToString(path), old_bytes);
+    std::vector<std::string> entries;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      entries.push_back(e.path().filename().string());
+    }
+    EXPECT_EQ(entries, std::vector<std::string>{"table.dvt"});
+  }
+}
+#endif
 
 TEST(ArtifactTest, OpenServingTableSniffsBothFormatsAndRejectsGarbage) {
   const PatternTable table = MakeRandomTable(11);

@@ -183,7 +183,7 @@ TEST(QueryDifferentialTest, BrowseMatchesBuildLattice) {
 TEST(QueryDifferentialTest, CorrectiveMatchesFindCorrectiveItems) {
   Harness h(8, "corrective");
   for (double min_factor : {0.0, 0.01}) {
-    for (size_t top_k : {size_t{0}, size_t{5}}) {
+    for (size_t top_k : {size_t{0}, size_t{1}, size_t{5}, size_t{10}}) {
       CorrectiveOptions options;
       options.min_factor = min_factor;
       options.top_k = top_k;

@@ -329,9 +329,12 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
   }
 
   if (!opts.artifact_path.empty()) {
+    obs::StageTimer timer(&run_stages, obs::kStageArtifact);
     uint64_t bytes = 0;
     DIVEXP_RETURN_NOT_OK(serve::WritePatternTableArtifact(
         opts.artifact_path, table, &bytes));
+    timer.AddItems(bytes);
+    timer.Finish();
     log << "serving artifact written to " << opts.artifact_path << " ("
         << bytes << " bytes)\n";
   }
