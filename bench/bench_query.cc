@@ -1,9 +1,11 @@
-// Experiment QS — serving-path A/B: artifact open cost vs the eager
-// snapshot loader across two table sizes, and cached vs uncached top-k
-// latency through the query service. Emits BENCH_query.json with one
-// record per (cell, variant); the two PR claims it substantiates are
-//   1. opening an artifact is flat in table size (mmap + O(header +
-//      catalog) validation) while the eager loader is linear, and
+// Experiment QS — serving-path A/B: the header-tier artifact open vs a
+// kFull open of the same artifact across two table sizes, and cached vs
+// uncached top-k latency through the query service. Emits
+// BENCH_query.json with one record per (cell, variant); the two claims
+// it substantiates are
+//   1. the serving open is flat in table size (mmap + O(header +
+//      catalog) validation) while a kFull open, which checksums every
+//      section and walks every row, is linear, and
 //   2. the result cache turns a repeated top-k from an O(rows) scan
 //      into a hash lookup, >= 10x faster.
 //
@@ -11,10 +13,10 @@
 //          [--check-open-speedup=X] [--check-cache-speedup=X]
 //          [--baseline=PATH] [--tolerance=F]
 //   --smoke               CI mode: smaller synthetic tables, same grid
-//   --check-open-speedup  exit 1 if the large-table artifact open is
-//                         not X times faster than the eager load, or if
-//                         the artifact's large/small open-cost scaling
-//                         is not well below the eager loader's
+//   --check-open-speedup  exit 1 if the large-table header-tier open is
+//                         not X times faster than the kFull open, or if
+//                         its large/small open-cost scaling is not well
+//                         below the kFull open's
 //   --check-cache-speedup exit 1 if cached top-k is not X times faster
 //                         than uncached on the large table
 //   --baseline            compare per-cell speedups against a
@@ -31,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/table_snapshot.h"
 #include "fpm/miner.h"
 #include "serve/artifact.h"
 #include "serve/server.h"
@@ -149,11 +150,12 @@ std::string BenchDir() {
 
 // Minimum wall-clock over `repeat` opens; construction alone is timed
 // (teardown happens after the clock stops).
-double MinOpenMillis(const std::string& path, size_t repeat) {
+double MinOpenMillis(const std::string& path,
+                     serve::ArtifactValidation validation, size_t repeat) {
   double best = 1e300;
   for (size_t r = 0; r < repeat; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    auto table = serve::OpenServingTable(path);
+    auto table = serve::OpenServingTable(path, validation);
     const double ms = MillisSince(start);
     if (!table.ok()) {
       std::fprintf(stderr, "open %s failed: %s\n", path.c_str(),
@@ -186,7 +188,7 @@ void Record(const std::string& name, const std::string& dataset,
 // Per-cell slow/fast speedups keyed by the cell prefix
 // ("query/open/<size>", "query/topk/<size>"). Unitless, so comparable
 // across machines — this is what the --baseline regression gate checks.
-// eager and uncached are the slow variants; mmap and cached the fast.
+// full and uncached are the slow variants; mmap and cached the fast.
 std::map<std::string, double> SpeedupsFromRecords(
     const std::vector<BenchRecord>& records) {
   std::map<std::string, double> slow_ms;
@@ -196,7 +198,7 @@ std::map<std::string, double> SpeedupsFromRecords(
     if (cut == std::string::npos) continue;
     const std::string cell = r.name.substr(0, cut);
     const std::string variant = r.name.substr(cut + 1);
-    if (variant == "eager" || variant == "uncached") slow_ms[cell] = r.wall_ms;
+    if (variant == "full" || variant == "uncached") slow_ms[cell] = r.wall_ms;
     if (variant == "mmap" || variant == "cached") fast_ms[cell] = r.wall_ms;
   }
   std::map<std::string, double> speedups;
@@ -302,19 +304,21 @@ int main(int argc, char** argv) {
   uint64_t large_rows = 0;
   for (const Shape& shape : {small, large}) {
     const PatternTable table = MakeTable(shape, 424200 + shape.attributes);
-    const std::string snap = dir + "/" + shape.name + ".snap";
     const std::string dvt = dir + "/" + shape.name + ".dvt";
-    Status st = SavePatternTable(snap, table);
-    if (st.ok()) st = serve::WritePatternTableArtifact(dvt, table);
+    const Status st = serve::WritePatternTableArtifact(dvt, table);
     if (!st.ok()) {
-      std::fprintf(stderr, "writing %s tables failed: %s\n",
+      std::fprintf(stderr, "writing %s table failed: %s\n",
                    shape.name.c_str(), st.ToString().c_str());
       return 1;
     }
     const std::string cell = "query/open/" + shape.name;
     for (const bool mmap : {false, true}) {
-      const char* variant = mmap ? "mmap" : "eager";
-      const double ms = MinOpenMillis(mmap ? dvt : snap, repeat);
+      const char* variant = mmap ? "mmap" : "full";
+      const double ms = MinOpenMillis(
+          dvt,
+          mmap ? serve::ArtifactValidation::kHeader
+               : serve::ArtifactValidation::kFull,
+          repeat);
       open_ms[shape.name + "/" + variant] = ms;
       Record(cell + "/" + variant, "synthetic_" + shape.name, ms,
              table.size());
@@ -381,39 +385,39 @@ int main(int argc, char** argv) {
   if (check_open > 0.0) {
     const double speedup =
         open_ms["large/mmap"] > 0
-            ? open_ms["large/eager"] / open_ms["large/mmap"]
+            ? open_ms["large/full"] / open_ms["large/mmap"]
             : 0.0;
     if (speedup < check_open) {
       std::fprintf(stderr,
-                   "FAIL: large-table artifact open speedup %sx below "
-                   "required %sx\n",
+                   "FAIL: large-table header-tier open speedup %sx over "
+                   "kFull below required %sx\n",
                    FormatDouble(speedup, 2).c_str(),
                    FormatDouble(check_open, 2).c_str());
       return 1;
     }
-    // The flatness claim: growing the table ~6x in rows must grow the
-    // eager load roughly linearly but leave the artifact open nearly
+    // The flatness claim: growing the table ~30x in rows must grow the
+    // kFull open roughly linearly but leave the header-tier open nearly
     // unchanged. Requiring a 4x separation between the two scaling
     // ratios keeps the gate far from runner noise.
     const double mmap_scale =
         open_ms["small/mmap"] > 0
             ? open_ms["large/mmap"] / open_ms["small/mmap"]
             : 1e300;
-    const double eager_scale =
-        open_ms["small/eager"] > 0
-            ? open_ms["large/eager"] / open_ms["small/eager"]
+    const double full_scale =
+        open_ms["small/full"] > 0
+            ? open_ms["large/full"] / open_ms["small/full"]
             : 0.0;
     std::printf(
-        "open scaling large/small: eager %sx, mmap %sx (speedup %sx)\n",
-        FormatDouble(eager_scale, 2).c_str(),
+        "open scaling large/small: full %sx, mmap %sx (speedup %sx)\n",
+        FormatDouble(full_scale, 2).c_str(),
         FormatDouble(mmap_scale, 2).c_str(),
         FormatDouble(speedup, 2).c_str());
-    if (mmap_scale * 4.0 > eager_scale) {
+    if (mmap_scale * 4.0 > full_scale) {
       std::fprintf(stderr,
                    "FAIL: artifact open scales %sx with table size vs "
-                   "eager %sx — not flat\n",
+                   "full %sx — not flat\n",
                    FormatDouble(mmap_scale, 2).c_str(),
-                   FormatDouble(eager_scale, 2).c_str());
+                   FormatDouble(full_scale, 2).c_str());
       return 1;
     }
   }

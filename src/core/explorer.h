@@ -52,9 +52,6 @@ struct ExplorerOptions {
   /// best SIMD table the CPU supports, kScalar forces the portable
   /// reference.
   fpm::KernelKind kernel = fpm::KernelKind::kAuto;
-  /// Back FP-trees with the bump-pointer node arena (default) or the
-  /// per-node deque fallback; identical results either way.
-  bool use_arena = true;
   /// Cap on itemset length; 0 = full exploration.
   size_t max_length = 0;
   /// Worker threads for mining; 1 = sequential (the paper's setup).

@@ -147,12 +147,6 @@ class PatternTable {
       const std::vector<std::pair<std::string, std::string>>& items) const;
 
  private:
-  /// Snapshot serialization (core/table_snapshot.cc) reads and rebuilds
-  /// the private representation — including the lattice index — so a
-  /// deserialized table is bit-identical to the snapshotted one without
-  /// re-running the post-pass.
-  friend class TableSnapshotAccess;
-
   /// Comparator shared by Rank and TopK: orders row indices by a
   /// precomputed key vector with the deterministic tie-break chain
   /// (higher support, then shorter, then items). Total order, so

@@ -1,7 +1,6 @@
 #include "fpm/fpgrowth.h"
 
 #include <algorithm>
-#include <deque>
 #include <exception>
 #include <iterator>
 #include <string>
@@ -38,18 +37,11 @@ struct HeaderEntry {
 };
 
 // An FP-tree plus its header table, owning its nodes. Nodes live in a
-// bump-pointer NodeArena by default (contiguous in insertion order,
-// freed wholesale with the tree); the deque fallback exists for the
-// arena differential tests and as an escape hatch
-// (MinerOptions::use_arena). Both modes build identical trees — only
-// where the nodes live differs.
+// bump-pointer NodeArena (contiguous in insertion order, freed
+// wholesale with the tree).
 class FpTree {
  public:
-  explicit FpTree(bool use_arena = true) : use_arena_(use_arena) {
-    root_ = NewNode();
-  }
-
-  bool uses_arena() const { return use_arena_; }
+  FpTree() { root_ = arena_.New<FpNode>(); }
 
   /// Prepares the header for the given (already support-filtered) item
   /// totals. Items are ranked by descending support count, ties broken
@@ -95,7 +87,7 @@ class FpTree {
         child = child->next_sibling;
       }
       if (child == nullptr) {
-        child = NewNode();
+        child = arena_.New<FpNode>();
         child->item = id;
         child->parent = node;
         child->next_sibling = node->first_child;
@@ -110,22 +102,17 @@ class FpTree {
 
   const std::vector<HeaderEntry>& headers() const { return headers_; }
 
-  /// Heap footprint for the guard's memory accounting. In arena mode
-  /// this is the real reserved block bytes (what the allocator took
-  /// from the heap), not just the node payload sum.
+  /// Heap footprint for the guard's memory accounting: the arena's
+  /// real reserved block bytes (what the allocator took from the heap),
+  /// not just the node payload sum.
   uint64_t MemoryBytes() const {
-    const uint64_t node_bytes = use_arena_
-                                    ? arena_.allocated_bytes()
-                                    : fallback_.size() * sizeof(FpNode);
-    return node_bytes +
+    return arena_.allocated_bytes() +
            headers_.size() * (sizeof(HeaderEntry) + 3 * sizeof(uint64_t));
   }
 
-  /// Bytes reserved by the node arena (0 in fallback mode); feeds the
-  /// fpm.kernel.arena.bytes counter.
-  uint64_t ArenaBytes() const {
-    return use_arena_ ? arena_.allocated_bytes() : 0;
-  }
+  /// Bytes reserved by the node arena; feeds the fpm.kernel.arena.bytes
+  /// counter.
+  uint64_t ArenaBytes() const { return arena_.allocated_bytes(); }
 
   /// Path of items from `node`'s parent up to (excluding) the root.
   std::vector<uint32_t> PrefixPath(const FpNode* node) const {
@@ -138,15 +125,7 @@ class FpTree {
   }
 
  private:
-  FpNode* NewNode() {
-    if (use_arena_) return arena_.New<FpNode>();
-    fallback_.emplace_back();
-    return &fallback_.back();
-  }
-
-  bool use_arena_;
   fpm::NodeArena arena_;
-  std::deque<FpNode> fallback_;
   FpNode* root_ = nullptr;
   std::vector<HeaderEntry> headers_;
   std::unordered_map<uint32_t, uint32_t> rank_;
@@ -186,7 +165,7 @@ void MineHeaderItem(const FpTree& tree, size_t hi, const Itemset& suffix,
   }
   if (freq_items.empty()) return;
 
-  FpTree cond(tree.uses_arena());
+  FpTree cond;
   cond.SetItems(std::move(freq_items));
   for (auto& [path, counts] : base) {
     cond.Insert(std::move(path), counts);
@@ -234,7 +213,7 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   // insertion), grow covers the enumeration. Truncated runs record
   // whatever the timers saw so far (the RAII destructors fire on every
   // return path).
-  FpTree tree(options.use_arena);
+  FpTree tree;
   obs::StageTimer build_timer(options.stages, obs::kStageMineBuild);
   obs::ScopedSpan build_span(obs::kStageMineBuild);
   const uint64_t build_checks0 =

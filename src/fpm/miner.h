@@ -97,11 +97,6 @@ struct MinerOptions {
   /// (enforced by tests/fpm/kernel_differential_test.cc), so this is a
   /// pure performance knob.
   fpm::KernelKind kernel = fpm::KernelKind::kAuto;
-  /// Back FP-tree nodes with the bump-pointer NodeArena (the default)
-  /// instead of per-node deque slots. Identical trees either way; the
-  /// toggle exists for the arena differential tests and as an escape
-  /// hatch.
-  bool use_arena = true;
 };
 
 /// Which mining algorithm backs a DivergenceExplorer run. kAuto defers

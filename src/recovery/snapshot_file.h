@@ -34,10 +34,12 @@ inline constexpr uint64_t kSnapshotMagic = 0x44564558534E4150ull;
 inline constexpr uint32_t kSnapshotVersion = 1;
 
 /// What the payload contains. Stored in the envelope so a mining-state
-/// snapshot can never be misread as a pattern table (and vice versa).
+/// snapshot can never be misread as a worker spec (and vice versa).
+/// Values are on disk: 2 is retired (it was a pattern-table payload;
+/// the artifact, serve/artifact.h, is now the only table format) and
+/// must not be reused.
 enum class SnapshotKind : uint32_t {
   kMiningState = 1,
-  kPatternTable = 2,
   /// Shard-worker input spec (src/shard/worker/protocol.h): the slice,
   /// outcomes and attempt parameters handed to a `divexp shard-worker`
   /// process.

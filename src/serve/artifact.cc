@@ -8,16 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
-#include "core/table_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
 #include "obs/trace.h"
 #include "recovery/atomic_file.h"
 #include "recovery/crc32.h"
-#include "recovery/snapshot_file.h"
 
 namespace divexp {
 namespace serve {
@@ -156,43 +153,11 @@ Status CheckCanonicalOrder(const PatternTable& table) {
   return Status::OK();
 }
 
-/// Catalog section payload; byte-identical to the catalog prefix of the
-/// snapshot serialization, so both formats share one parser shape.
-std::string SerializeCatalog(const ItemCatalog& catalog) {
-  recovery::ByteWriter w;
-  w.PutU64(catalog.num_attributes());
-  for (uint32_t a = 0; a < catalog.num_attributes(); ++a) {
-    w.PutString(catalog.attribute_name(a));
-    const uint32_t first = catalog.first_item(a);
-    const uint32_t domain = catalog.domain_size(a);
-    w.PutU64(domain);
-    for (uint32_t j = 0; j < domain; ++j) {
-      w.PutString(catalog.item(first + j).value);
-    }
-  }
-  return w.Take();
-}
-
+/// Parses the whole catalog section: one PutCatalog blob, no trailing
+/// bytes.
 Result<ItemCatalog> ParseCatalog(std::string_view payload) {
   recovery::ByteReader r(payload);
-  ItemCatalog catalog;
-  DIVEXP_ASSIGN_OR_RETURN(const uint64_t num_attrs, r.GetU64());
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    DIVEXP_ASSIGN_OR_RETURN(std::string name, r.GetBytes());
-    DIVEXP_ASSIGN_OR_RETURN(const uint64_t domain, r.GetU64());
-    if (domain > r.remaining() / 8) {
-      return Status::OutOfRange("artifact catalog attribute '" + name +
-                                "' claims " + std::to_string(domain) +
-                                " values, more than the section holds");
-    }
-    std::vector<std::string> values;
-    values.reserve(domain);
-    for (uint64_t j = 0; j < domain; ++j) {
-      DIVEXP_ASSIGN_OR_RETURN(std::string value, r.GetBytes());
-      values.push_back(std::move(value));
-    }
-    catalog.AddAttribute(std::move(name), values);
-  }
+  DIVEXP_ASSIGN_OR_RETURN(ItemCatalog catalog, GetCatalog(&r));
   if (!r.empty()) {
     return Status::InvalidArgument(
         "artifact catalog section has " + std::to_string(r.remaining()) +
@@ -227,6 +192,41 @@ const char* ArtifactSectionName(ArtifactSection id) {
       return "catalog";
   }
   return "unknown";
+}
+
+void PutCatalog(recovery::ByteWriter* w, const ItemCatalog& catalog) {
+  w->PutU64(catalog.num_attributes());
+  for (uint32_t a = 0; a < catalog.num_attributes(); ++a) {
+    w->PutString(catalog.attribute_name(a));
+    const uint32_t first = catalog.first_item(a);
+    const uint32_t domain = catalog.domain_size(a);
+    w->PutU64(domain);
+    for (uint32_t j = 0; j < domain; ++j) {
+      w->PutString(catalog.item(first + j).value);
+    }
+  }
+}
+
+Result<ItemCatalog> GetCatalog(recovery::ByteReader* r) {
+  ItemCatalog catalog;
+  DIVEXP_ASSIGN_OR_RETURN(const uint64_t num_attrs, r->GetU64());
+  for (uint64_t a = 0; a < num_attrs; ++a) {
+    DIVEXP_ASSIGN_OR_RETURN(std::string name, r->GetBytes());
+    DIVEXP_ASSIGN_OR_RETURN(const uint64_t domain, r->GetU64());
+    if (domain > r->remaining() / 8) {
+      return Status::OutOfRange("catalog attribute '" + name + "' claims " +
+                                std::to_string(domain) +
+                                " values, more than the bytes left hold");
+    }
+    std::vector<std::string> values;
+    values.reserve(domain);
+    for (uint64_t j = 0; j < domain; ++j) {
+      DIVEXP_ASSIGN_OR_RETURN(std::string value, r->GetBytes());
+      values.push_back(std::move(value));
+    }
+    catalog.AddAttribute(std::move(name), values);
+  }
+  return catalog;
 }
 
 uint64_t TableFingerprint(const PatternTable& table) {
@@ -352,8 +352,10 @@ Status WritePatternTableArtifact(const std::string& path,
         link_end += table.SubsetLinks(i).size();
         AppendU64(&chunk, link_end);
       }));
-  DIVEXP_RETURN_NOT_OK(write_section(ArtifactSection::kCatalog,
-                                     SerializeCatalog(table.catalog())));
+  recovery::ByteWriter catalog;
+  PutCatalog(&catalog, table.catalog());
+  DIVEXP_RETURN_NOT_OK(
+      write_section(ArtifactSection::kCatalog, catalog.Take()));
 
   for (size_t s = 0; s < kArtifactSectionCount; ++s) {
     const size_t entry =
@@ -424,7 +426,7 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
     if (swapped == kArtifactMagic) {
       return Status::InvalidArgument(
           "artifact was written on a host of the opposite endianness; "
-          "re-export it from a snapshot on this host");
+          "re-run `divexp --save-artifact` on this host");
     }
     return Status::InvalidArgument(
         "not a pattern-table artifact (bad magic)");
@@ -713,109 +715,13 @@ PatternTableArtifact::FromBuffer(std::string bytes,
   return artifact;
 }
 
-Result<std::unique_ptr<PatternTableArtifact>>
-PatternTableArtifact::FromMemory(const void* data, size_t size,
-                                 ArtifactValidation validation) {
-  if (reinterpret_cast<uintptr_t>(data) % 8 != 0) {
-    return Status::InvalidArgument(
-        "artifact base address is not 8-byte aligned; use FromBuffer "
-        "for unaligned bytes");
-  }
-  std::unique_ptr<PatternTableArtifact> artifact(
-      new PatternTableArtifact());
-  artifact->base_ = static_cast<const uint8_t*>(data);
-  artifact->size_ = size;
-  DIVEXP_RETURN_NOT_OK(artifact->Attach(validation));
-  return artifact;
-}
-
-Result<std::unique_ptr<EagerTableBacking>> EagerTableBacking::FromTable(
-    const PatternTable& table) {
-  DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
-  std::unique_ptr<EagerTableBacking> backing(new EagerTableBacking());
-  const size_t n = table.size();
-  backing->item_offsets_.assign(n + 1, 0);
-  backing->link_offsets_.assign(n + 1, 0);
-  backing->tallies_.reserve(3 * n);
-  backing->stats_.reserve(4 * n);
-  for (size_t i = 0; i < n; ++i) {
-    const PatternRow& row = table.row(i);
-    backing->items_.insert(backing->items_.end(), row.items.begin(),
-                           row.items.end());
-    backing->item_offsets_[i + 1] = backing->items_.size();
-    backing->tallies_.push_back(row.counts.t);
-    backing->tallies_.push_back(row.counts.f);
-    backing->tallies_.push_back(row.counts.bot);
-    backing->stats_.push_back(row.support);
-    backing->stats_.push_back(row.rate);
-    backing->stats_.push_back(row.divergence);
-    backing->stats_.push_back(row.t);
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
-    backing->subset_links_.insert(backing->subset_links_.end(),
-                                  links.begin(), links.end());
-    backing->link_offsets_[i + 1] = backing->subset_links_.size();
-  }
-  backing->catalog_ = table.catalog();
-
-  TableView& view = backing->view_;
-  view.items = backing->items_;
-  view.item_offsets = backing->item_offsets_;
-  view.tallies = backing->tallies_;
-  view.stats = backing->stats_;
-  view.subset_links = backing->subset_links_;
-  view.link_offsets = backing->link_offsets_;
-  view.catalog = &backing->catalog_;
-  view.num_dataset_rows = table.num_dataset_rows();
-  view.global_rate = table.global_rate();
-  view.global_mean = table.global_mean();
-  view.global_variance = table.global_variance();
-  view.fingerprint = TableFingerprint(table);
-  return backing;
-}
-
-Result<std::unique_ptr<EagerTableBacking>> EagerTableBacking::Load(
-    const std::string& snapshot_path) {
-  DIVEXP_ASSIGN_OR_RETURN(const PatternTable table,
-                          LoadPatternTable(snapshot_path));
-  return FromTable(table);
-}
-
 Result<ServingTable> OpenServingTable(const std::string& path,
                                       ArtifactValidation validation) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open table file '" + path + "'");
-  }
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) {
-    return Status::InvalidArgument(
-        "table file '" + path + "' is shorter than a magic number");
-  }
-  in.close();
-
   ServingTable table;
-  if (magic == kArtifactMagic) {
-    DIVEXP_ASSIGN_OR_RETURN(table.artifact,
-                            PatternTableArtifact::Open(path, validation));
-    obs::MetricsRegistry::Default().GetCounter("serve.open.mmap")->Add(1);
-    return table;
-  }
-  if (magic == recovery::kSnapshotMagic) {
-    DIVEXP_ASSIGN_OR_RETURN(table.eager, EagerTableBacking::Load(path));
-    obs::MetricsRegistry::Default().GetCounter("serve.open.eager")->Add(1);
-    return table;
-  }
-  return Status::InvalidArgument(
-      "table file '" + path +
-      "' is neither a pattern-table artifact nor a snapshot");
-}
-
-Status MigrateSnapshotToArtifact(const std::string& snapshot_path,
-                                 const std::string& artifact_path) {
-  DIVEXP_ASSIGN_OR_RETURN(const PatternTable table,
-                          LoadPatternTable(snapshot_path));
-  return WritePatternTableArtifact(artifact_path, table);
+  DIVEXP_ASSIGN_OR_RETURN(table.artifact,
+                          PatternTableArtifact::Open(path, validation));
+  obs::MetricsRegistry::Default().GetCounter("serve.open.mmap")->Add(1);
+  return table;
 }
 
 }  // namespace serve

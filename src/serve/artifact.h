@@ -1,12 +1,12 @@
 // Zero-copy pattern-table artifact (format v1).
 //
-// The artifact is the serving-side sibling of the pattern-table
-// snapshot (core/table_snapshot.h): where the snapshot is a portable
-// length-prefixed stream that must be deserialized row by row, the
-// artifact is a relocatable, offset-based columnar image that is served
-// straight out of an mmap. Opening one costs O(header + catalog)
-// regardless of row count — no per-row allocation, no decode pass — so
-// a query daemon can map a multi-gigabyte table in milliseconds.
+// The artifact is the one on-disk pattern-table format: `divexp
+// --save-artifact` writes it, `divexp serve` maps it, and shard workers
+// return their results in it. It is a relocatable, offset-based
+// columnar image that is served straight out of an mmap. Opening one
+// costs O(header + catalog) regardless of row count — no per-row
+// allocation, no decode pass — so a query daemon can map a
+// multi-gigabyte table in milliseconds.
 //
 // On-disk layout (host-endian, guarded by an endianness tag):
 //
@@ -35,7 +35,7 @@
 //   4 stats         f64[4 * num_rows]  (support, rate, divergence, t)
 //   5 subset_links  u32[total_items]   lattice links, kNoLink = absent
 //   6 link_offsets  u64[num_rows + 1]
-//   7 catalog       ByteWriter blob (same shape as the snapshot catalog)
+//   7 catalog       PutCatalog blob (below)
 //
 // Rows are stored in canonical order (length, then lexicographic items
 // — the SortPatterns order), so lookup is a binary search over the
@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "core/pattern.h"
+#include "recovery/snapshot_file.h"
 #include "serve/table_view.h"
 #include "util/status.h"
 
@@ -113,10 +114,23 @@ struct ArtifactInfo {
 
 /// FNV-1a fingerprint of the *logical* table content: catalog, dataset
 /// row count, global stats, and every row's (items, tallies, stats).
-/// Subset links are derived state and excluded, so a snapshot and the
-/// artifact migrated from it fingerprint identically.
+/// Subset links are derived state and excluded. The in-memory table a
+/// writer serializes and the view a reader attaches to fingerprint
+/// identically, which is what the header field and the kFull recompute
+/// compare.
 uint64_t TableFingerprint(const PatternTable& table);
 uint64_t TableFingerprint(const TableView& view);
+
+/// The catalog codec: attributes in id order, each a length-prefixed
+/// name, a u64 value count and the length-prefixed value labels.
+/// Replaying AddAttribute in that order reproduces the item ids. Shared
+/// by the artifact's catalog section and the shard-worker spec.
+void PutCatalog(recovery::ByteWriter* w, const ItemCatalog& catalog);
+
+/// Reads one PutCatalog blob from `r`, leaving `r` just past it. A
+/// value count that the remaining bytes cannot hold (each value costs at
+/// least its 8-byte length prefix) fails before anything is reserved.
+Result<ItemCatalog> GetCatalog(recovery::ByteReader* r);
 
 /// Serializes `table` into artifact format and writes it atomically.
 /// Rows must be in canonical order with the empty itemset first (the
@@ -151,17 +165,9 @@ class PatternTableArtifact {
       ArtifactValidation validation = ArtifactValidation::kHeader);
 
   /// Takes ownership of in-memory artifact bytes, copying them into
-  /// 8-byte-aligned storage (the portable fallback when mmap is
-  /// unavailable; also what the byte-flip fuzz tests drive).
+  /// 8-byte-aligned storage (what the byte-flip fuzz tests drive).
   static Result<std::unique_ptr<PatternTableArtifact>> FromBuffer(
       std::string bytes,
-      ArtifactValidation validation = ArtifactValidation::kHeader);
-
-  /// Non-owning view over caller-managed bytes, which must stay alive
-  /// and be 8-byte aligned (InvalidArgument otherwise — the columnar
-  /// sections are reinterpreted in place).
-  static Result<std::unique_ptr<PatternTableArtifact>> FromMemory(
-      const void* data, size_t size,
       ArtifactValidation validation = ArtifactValidation::kHeader);
 
   ~PatternTableArtifact();
@@ -193,57 +199,18 @@ class PatternTableArtifact {
   ArtifactInfo info_;
 };
 
-/// The portable fallback backing: materializes the same columnar view
-/// from an in-memory PatternTable (typically loaded from a snapshot).
-/// O(rows) construction — the differential oracle for the mmap path.
-class EagerTableBacking {
- public:
-  /// Copies the table's columns out. Same canonical-order requirement
-  /// as the artifact writer.
-  static Result<std::unique_ptr<EagerTableBacking>> FromTable(
-      const PatternTable& table);
-
-  /// LoadPatternTable(path) + FromTable.
-  static Result<std::unique_ptr<EagerTableBacking>> Load(
-      const std::string& snapshot_path);
-
-  const TableView& view() const { return view_; }
-
- private:
-  EagerTableBacking() = default;
-
-  std::vector<uint32_t> items_;
-  std::vector<uint64_t> item_offsets_;
-  std::vector<uint64_t> tallies_;
-  std::vector<double> stats_;
-  std::vector<uint32_t> subset_links_;
-  std::vector<uint64_t> link_offsets_;
-  ItemCatalog catalog_;
-  TableView view_;
-};
-
-/// Whichever backing a table file resolved to; view() is the common
-/// query surface.
+/// A table file attached for serving; view() is the query surface.
 struct ServingTable {
   std::unique_ptr<PatternTableArtifact> artifact;
-  std::unique_ptr<EagerTableBacking> eager;
 
-  const TableView& view() const {
-    return artifact != nullptr ? artifact->view() : eager->view();
-  }
+  const TableView& view() const { return artifact->view(); }
 };
 
-/// Opens either kind of table file by sniffing the magic: an artifact
-/// maps zero-copy (serve.open.mmap), a pattern-table snapshot loads
-/// eagerly (serve.open.eager). Queries are bit-identical either way.
+/// Maps the artifact at `path` (PatternTableArtifact::Open) and counts
+/// the open in serve.open.mmap.
 Result<ServingTable> OpenServingTable(
     const std::string& path,
     ArtifactValidation validation = ArtifactValidation::kHeader);
-
-/// Migrates a kPatternTable snapshot into an artifact: the versioned
-/// upgrade path from the PR-4 snapshot format (see docs/serving.md).
-Status MigrateSnapshotToArtifact(const std::string& snapshot_path,
-                                 const std::string& artifact_path);
 
 }  // namespace serve
 }  // namespace divexp

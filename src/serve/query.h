@@ -5,7 +5,7 @@
 // replicate core/pattern.cc, core/lattice.cc, core/shapley.cc and
 // core/corrective.cc exactly — tests/serve/query_differential_test.cc
 // asserts bit-identical results against the in-memory PatternTable for
-// both backings (mmap artifact and eager snapshot load).
+// the mmap'd artifact view.
 //
 // Each entry point takes an optional RunGuard: the serving daemon arms
 // one per query with its configured budget, so a pathological request

@@ -474,7 +474,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
       .Key("fingerprint")
       .Value(HexU64(view.fingerprint))
       .Key("backing")
-      .Value(table_->artifact != nullptr ? "mmap" : "eager")
+      .Value("mmap")
       .Key("cache")
       .BeginObject()
       .Key("hits")

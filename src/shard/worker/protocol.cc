@@ -4,6 +4,7 @@
 
 #include "recovery/crc32.h"
 #include "recovery/snapshot_file.h"
+#include "serve/artifact.h"
 #include "util/subprocess.h"
 
 namespace divexp {
@@ -73,42 +74,6 @@ Result<Frame> DecodePayload(const std::string& payload) {
         " trailing bytes");
   }
   return frame;
-}
-
-void PutCatalog(recovery::ByteWriter* w, const ItemCatalog& catalog) {
-  // Same shape as the pattern-table snapshot catalog: attributes in id
-  // order, each with its value labels.
-  w->PutU64(catalog.num_attributes());
-  for (uint32_t a = 0; a < catalog.num_attributes(); ++a) {
-    w->PutString(catalog.attribute_name(a));
-    const uint32_t first = catalog.first_item(a);
-    const uint32_t domain = catalog.domain_size(a);
-    w->PutU64(domain);
-    for (uint32_t j = 0; j < domain; ++j) {
-      w->PutString(catalog.item(first + j).value);
-    }
-  }
-}
-
-Status GetCatalog(recovery::ByteReader* r, ItemCatalog* catalog) {
-  DIVEXP_ASSIGN_OR_RETURN(const uint64_t num_attrs, r->GetU64());
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    DIVEXP_ASSIGN_OR_RETURN(std::string name, r->GetBytes());
-    DIVEXP_ASSIGN_OR_RETURN(const uint64_t domain, r->GetU64());
-    if (domain > r->remaining()) {
-      return Status::OutOfRange("catalog domain size " +
-                                std::to_string(domain) +
-                                " exceeds remaining payload");
-    }
-    std::vector<std::string> values;
-    values.reserve(domain);
-    for (uint64_t j = 0; j < domain; ++j) {
-      DIVEXP_ASSIGN_OR_RETURN(std::string value, r->GetBytes());
-      values.push_back(std::move(value));
-    }
-    catalog->AddAttribute(std::move(name), values);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -221,7 +186,6 @@ std::string SerializeWorkerSpec(const WorkerSpec& spec) {
   w.PutF64(spec.base.min_support);
   w.PutU8(static_cast<uint8_t>(spec.base.miner));
   w.PutU8(static_cast<uint8_t>(spec.base.kernel));
-  w.PutU8(spec.base.use_arena ? 1 : 0);
   w.PutU64(spec.base.max_length);
   w.PutU64(spec.base.num_threads);
   w.PutI64(spec.base.limits.deadline_ms);
@@ -234,7 +198,7 @@ std::string SerializeWorkerSpec(const WorkerSpec& spec) {
   w.PutU64(spec.data.num_rows);
   w.PutU64(spec.data.num_attributes);
   w.PutU32Vector(spec.data.cells);
-  PutCatalog(&w, spec.data.catalog);
+  serve::PutCatalog(&w, spec.data.catalog);
   w.PutU64(spec.outcomes.size());
   for (const Outcome o : spec.outcomes) {
     w.PutU8(static_cast<uint8_t>(o));
@@ -270,8 +234,6 @@ Result<WorkerSpec> DeserializeWorkerSpec(const std::string& payload) {
         "worker spec has unknown kernel kind " + std::to_string(kernel));
   }
   spec.base.kernel = static_cast<fpm::KernelKind>(kernel);
-  DIVEXP_ASSIGN_OR_RETURN(const uint8_t use_arena, r.GetU8());
-  spec.base.use_arena = use_arena != 0;
   DIVEXP_ASSIGN_OR_RETURN(spec.base.max_length, r.GetU64());
   DIVEXP_ASSIGN_OR_RETURN(spec.base.num_threads, r.GetU64());
   DIVEXP_ASSIGN_OR_RETURN(spec.base.limits.deadline_ms, r.GetI64());
@@ -289,7 +251,7 @@ Result<WorkerSpec> DeserializeWorkerSpec(const std::string& payload) {
     return Status::InvalidArgument(
         "worker spec cell count does not match its dimensions");
   }
-  DIVEXP_RETURN_NOT_OK(GetCatalog(&r, &spec.data.catalog));
+  DIVEXP_ASSIGN_OR_RETURN(spec.data.catalog, serve::GetCatalog(&r));
   DIVEXP_ASSIGN_OR_RETURN(const uint64_t num_outcomes, r.GetU64());
   if (num_outcomes > r.remaining()) {
     return Status::OutOfRange("worker spec outcome count " +

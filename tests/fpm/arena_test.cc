@@ -130,34 +130,20 @@ TEST(ArenaAccountingTest, CounterReportsReservedBlockBytes) {
   // The top-level tree reserves at least one 64 KiB block.
   EXPECT_GE(counter->Value() - before,
             uint64_t{fpm::NodeArena::kDefaultBlockBytes});
-
-  // Arena off: the counter must not move.
-  const uint64_t mid = counter->Value();
-  opts.use_arena = false;
-  auto fallback = MineSmall(opts);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_EQ(counter->Value(), mid);
 }
 
 TEST(ArenaAccountingTest, RunGuardSeesArenaBlockBytes) {
-  // In arena mode the guard is charged the reserved block bytes (>= one
-  // 64 KiB block); in fallback mode only the node payloads, which for
-  // this tiny tree are far below one block. The gap proves RunGuard
-  // accounts what the allocator actually took from the heap.
-  RunGuard arena_guard{RunLimits{}};
+  // The guard is charged the reserved block bytes (>= one 64 KiB
+  // block), not just the node payloads, which for this tiny tree are far
+  // below one block: RunGuard accounts what the allocator actually took
+  // from the heap.
+  RunGuard guard{RunLimits{}};
   MinerOptions opts;
   opts.min_support = 0.05;
-  opts.guard = &arena_guard;
+  opts.guard = &guard;
   ASSERT_TRUE(MineSmall(opts).ok());
-  EXPECT_GE(arena_guard.peak_memory_bytes(),
+  EXPECT_GE(guard.peak_memory_bytes(),
             uint64_t{fpm::NodeArena::kDefaultBlockBytes});
-
-  RunGuard fallback_guard{RunLimits{}};
-  opts.use_arena = false;
-  opts.guard = &fallback_guard;
-  ASSERT_TRUE(MineSmall(opts).ok());
-  EXPECT_LT(fallback_guard.peak_memory_bytes(),
-            arena_guard.peak_memory_bytes());
 }
 
 }  // namespace

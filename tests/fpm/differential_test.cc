@@ -133,15 +133,6 @@ TEST_P(DifferentialMinerTest, MinersAndThreadCountsAgree) {
         }
       }
     }
-
-    // Arena on/off must not change a single FP-growth tally: the arena
-    // only relocates node storage.
-    MinerOptions no_arena = ref_opts;
-    no_arena.use_arena = false;
-    auto fallback = MakeMiner(MinerKind::kFpGrowth)->Mine(*db, no_arena);
-    ASSERT_TRUE(fallback.ok());
-    EXPECT_EQ(ToMap(*fallback), expected)
-        << spec.label << ": arena-off FP-growth diverged, s=" << support;
   }
 }
 

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/table_snapshot.h"
 #include "obs/json.h"
 #include "recovery/atomic_file.h"
 #include "serve/artifact.h"
@@ -257,25 +256,6 @@ TEST_F(ServerTest, ServeLoopAnswersEachLineAndStopsOnQuit) {
   EXPECT_TRUE(Ok(Parse(lines[0])));
   EXPECT_TRUE(Ok(Parse(lines[1])));
   EXPECT_NE(lines[2].find("\"quit\":true"), std::string::npos);
-}
-
-TEST_F(ServerTest, EagerBackingServesSnapshots) {
-  const PatternTable table = MakeRandomTable(1);
-  const std::string path = TempDir("snap") + "/table.snap";
-  DIVEXP_CHECK_OK(SavePatternTable(path, table));
-  auto opened = OpenServingTable(path);
-  ASSERT_TRUE(opened.ok());
-  ServingTable snapshot_table = std::move(opened).value();
-  QueryService service(&snapshot_table);
-  const obs::JsonValue v = Parse(service.HandleLine("stats"));
-  ASSERT_TRUE(Ok(v));
-  EXPECT_EQ(v.Find("backing")->string, "eager");
-
-  // Same fingerprint as the artifact backing: cache keys are portable
-  // across backings of the same logical table.
-  QueryService artifact_service = MakeService();
-  const obs::JsonValue a = Parse(artifact_service.HandleLine("stats"));
-  EXPECT_EQ(v.Find("fingerprint")->string, a.Find("fingerprint")->string);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "recovery/atomic_file.h"
+#include "recovery/crc32.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -248,6 +249,14 @@ TEST(WorkerSpecTest, SerializeDeserializeRoundTripsEveryField) {
   // Canonical-bytes check: re-serializing the parse reproduces the
   // payload exactly, so nothing was dropped or defaulted on the way.
   EXPECT_EQ(SerializeWorkerSpec(got), payload);
+}
+
+// Golden size and CRC32 of MakeSpec()'s payload: any change to the
+// spec encoding (field order, the shared catalog codec) moves them.
+TEST(WorkerSpecTest, SerializedBytesMatchGolden) {
+  const std::string payload = SerializeWorkerSpec(MakeSpec());
+  EXPECT_EQ(payload.size(), 350u);
+  EXPECT_EQ(recovery::Crc32(payload), 0x5B2B30C8u);
 }
 
 TEST(WorkerSpecTest, FileRoundTripThroughTheSnapshotEnvelope) {

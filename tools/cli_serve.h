@@ -1,5 +1,5 @@
 // `divexp serve` — interactive/daemon front end over a pattern-table
-// artifact or snapshot. Kept separate from main() so it can be unit
+// artifact. Kept separate from main() so it can be unit
 // tested against in-memory streams.
 #ifndef DIVEXP_TOOLS_CLI_SERVE_H_
 #define DIVEXP_TOOLS_CLI_SERVE_H_
@@ -16,7 +16,7 @@ namespace cli {
 
 /// Parsed `divexp serve` configuration.
 struct ServeOptions {
-  /// Artifact (.dvt) or pattern-table snapshot path.
+  /// Artifact (.dvt) path, as written by `divexp --save-artifact`.
   std::string table_path;
   /// Unix socket to listen on; empty = REPL on stdin/stdout.
   std::string socket_path;
