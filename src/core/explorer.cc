@@ -180,7 +180,12 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
     // depend on the miner's traversal order (or on checkpoint/resume
     // and shard-merge history), so every subset precedes its
     // supersets and equal runs serialize bit-identically.
-    SortPatterns(&mined);
+    {
+      obs::StageTimer timer(&stages, obs::kStageCanonicalize);
+      obs::ScopedSpan span(obs::kStageCanonicalize);
+      SortPatterns(&mined, options_.num_threads);
+      timer.AddItems(mined.size());
+    }
     timings_.mining_seconds = sw.Seconds();
 
     if (guard != nullptr && guard->stopped() &&

@@ -1,6 +1,7 @@
 #include "core/pattern.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/trace.h"
 #include "stats/beta.h"
@@ -55,7 +56,6 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   table.global_variance_ = global_post.variance;
 
   table.rows_.reserve(mined.size());
-  table.index_.reserve(mined.size());
   for (MinedPattern& p : mined) {
     PatternRow row;
     row.counts = p.counts;
@@ -66,23 +66,52 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
         (!guard->Tick() || !guard->AddMemory(RowFootprintBytes(row)))) {
       break;  // partial table; the guard has latched the breach
     }
-    const auto [it, inserted] =
-        table.index_.emplace(row.items, table.rows_.size());
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate itemset in mined patterns");
-    }
     table.rows_.push_back(std::move(row));
   }
 
-  // Post-index pass: per-row stats (Beta posterior + Welch t) and the
-  // immediate-subset lattice links. Both are pure per-row computations
-  // over the now-frozen row set, so they parallelize with results
-  // identical across thread counts.
+  // Post-index pass over the now-frozen row set: the itemset index, then
+  // per-row stats (Beta posterior + Welch t) and the immediate-subset
+  // lattice links. All are per-row work, so they parallelize with
+  // results identical across thread counts.
   obs::StageTimer timer(options.stages, obs::kStagePostIndex);
   obs::ScopedSpan span(obs::kStagePostIndex);
   const size_t n = table.rows_.size();
   const double denom =
       num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
+
+  // Rows claim index slots by CAS, so the build runs in parallel. Two
+  // equal itemsets hash to the same probe sequence and slots only go
+  // from empty to taken, so whichever comes second meets the first.
+  size_t slots = 2;
+  int slot_bits = 1;
+  while (slots < 2 * n) {
+    slots <<= 1;
+    ++slot_bits;
+  }
+  table.index_.assign(slots, kEmptySlot);
+  table.index_shift_ = 64 - slot_bits;
+  std::atomic<bool> duplicate{false};
+  ParallelFor(options.num_threads, n, [&table, &duplicate](size_t i) {
+    const ItemSpan items(table.rows_[i].items);
+    const size_t mask = table.index_.size() - 1;
+    for (size_t s = table.HomeSlot(ItemsetHash{}(items));;
+         s = (s + 1) & mask) {
+      std::atomic_ref<uint32_t> slot(table.index_[s]);
+      uint32_t id = slot.load();
+      if (id == kEmptySlot &&
+          slot.compare_exchange_strong(id, static_cast<uint32_t>(i))) {
+        return;
+      }
+      // `id` is the slot's occupant (a failed CAS reloaded it).
+      if (ItemsetEq{}(table.rows_[id].items, items)) {
+        duplicate.store(true);
+        return;
+      }
+    }
+  });
+  if (duplicate.load()) {
+    return Status::InvalidArgument("duplicate itemset in mined patterns");
+  }
 
   table.link_offsets_.resize(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -110,26 +139,32 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
     }
   });
   timer.AddItems(n);
-  timer.SetPeakBytes(table.subset_links_.size() * sizeof(uint32_t));
+  timer.SetPeakBytes((table.subset_links_.size() + table.index_.size()) *
+                     sizeof(uint32_t));
   return table;
 }
 
+template <typename Key>
+std::optional<size_t> PatternTable::FindKey(const Key& key) const {
+  if (index_.empty()) return std::nullopt;
+  const size_t mask = index_.size() - 1;
+  for (size_t s = HomeSlot(ItemsetHash{}(key));; s = (s + 1) & mask) {
+    const uint32_t id = index_[s];
+    if (id == kEmptySlot) return std::nullopt;
+    if (ItemsetEq{}(rows_[id].items, key)) return id;
+  }
+}
+
 std::optional<size_t> PatternTable::Find(const Itemset& items) const {
-  auto it = index_.find(items);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return FindKey(items);
 }
 
 std::optional<size_t> PatternTable::Find(ItemSpan items) const {
-  auto it = index_.find(items);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return FindKey(items);
 }
 
 std::optional<size_t> PatternTable::Find(const ItemsetSkipView& view) const {
-  auto it = index_.find(view);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return FindKey(view);
 }
 
 Result<double> PatternTable::Divergence(const Itemset& items) const {

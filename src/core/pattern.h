@@ -8,13 +8,14 @@
 // indices of its |K| immediate subsets K \ {α}, stored inline in one
 // flat array. The divergence post-pass walks these integer links
 // instead of materializing temporary itemsets and re-hashing them (see
-// docs/performance.md).
+// docs/performance.md). Itemset lookup goes through a flat
+// open-addressing array of row ids that compares probes against the
+// rows' own items, so the table holds one copy of each itemset.
 #ifndef DIVEXP_CORE_PATTERN_H_
 #define DIVEXP_CORE_PATTERN_H_
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/encoder.h"
@@ -38,9 +39,10 @@ struct PatternRow {
 
 /// Construction knobs for the divergence/significance post-pass.
 struct PatternTableOptions {
-  /// Worker threads for the per-row stat pass and the lattice-index
-  /// build; 1 = sequential. Results are identical across thread counts
-  /// (both passes are pure per-row computations).
+  /// Worker threads for the itemset index, the per-row stat pass and
+  /// the lattice-index build; 1 = sequential. Results are identical
+  /// across thread counts (the passes are pure per-row computations,
+  /// and lookups do not depend on where a row id landed in the index).
   size_t num_threads = 1;
   /// Optional per-stage accounting sink: the index/stat pass records an
   /// obs::kStagePostIndex record (a sub-interval of
@@ -154,8 +156,27 @@ class PatternTable {
   bool RankLess(size_t a, size_t b, const std::vector<double>& keys,
                 bool descending) const;
 
+  /// Free slot of index_.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Slot where a probe for an itemset with hash `hash` starts: the top
+  /// bits of the hash times the 64-bit golden ratio, so every hash bit
+  /// moves the slot.
+  size_t HomeSlot(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ULL) >>
+        index_shift_);
+  }
+
+  /// Linear probe of index_ for any key ItemsetHash/ItemsetEq accept.
+  template <typename Key>
+  std::optional<size_t> FindKey(const Key& key) const;
+
   std::vector<PatternRow> rows_;
-  std::unordered_map<Itemset, size_t, ItemsetHash, ItemsetEq> index_;
+  /// Itemset index: power-of-two slots (at least twice the row count)
+  /// holding row ids or kEmptySlot, probed linearly from HomeSlot.
+  std::vector<uint32_t> index_;
+  int index_shift_ = 64;  ///< 64 − log2(index_.size())
   /// Flat immediate-subset links; row i owns
   /// [link_offsets_[i], link_offsets_[i+1]).
   std::vector<uint32_t> subset_links_;

@@ -4,7 +4,6 @@
 #include <exception>
 #include <iterator>
 #include <string>
-#include <unordered_map>
 
 #include "fpm/kernels/arena.h"
 #include "obs/metrics.h"
@@ -55,33 +54,36 @@ class FpTree {
                 return a.first < b.first;
               });
     headers_.clear();
-    rank_.clear();
     headers_.reserve(items.size());
+    uint32_t max_id = 0;
+    for (const auto& item : items) max_id = std::max(max_id, item.first);
+    rank_.assign(items.empty() ? 0 : size_t{max_id} + 1, kNoRank);
     for (size_t i = 0; i < items.size(); ++i) {
       HeaderEntry h;
       h.item = items[i].first;
       h.totals = items[i].second;
       headers_.push_back(h);
-      rank_.emplace(items[i].first, static_cast<uint32_t>(i));
+      rank_[items[i].first] = static_cast<uint32_t>(i);
     }
   }
 
-  bool HasItem(uint32_t item) const { return rank_.count(item) > 0; }
-
   /// Inserts a transaction; `items` may be in any order and may contain
   /// items absent from the header (they are dropped). Each node along
-  /// the path accumulates `delta`.
-  void Insert(std::vector<uint32_t> items, const OutcomeCounts& delta) {
-    // Keep only ranked items, sorted by rank (descending support).
-    std::vector<std::pair<uint32_t, uint32_t>> ranked;  // (rank, item)
-    ranked.reserve(items.size());
+  /// the path accumulates `delta`. `ranks` is caller-owned scratch,
+  /// reused across calls so that an insert allocates only new nodes.
+  void Insert(ItemSpan items, const OutcomeCounts& delta,
+              std::vector<uint32_t>* ranks) {
+    // Keep only ranked items, in rank order (descending support).
+    ranks->clear();
     for (uint32_t id : items) {
-      auto it = rank_.find(id);
-      if (it != rank_.end()) ranked.emplace_back(it->second, id);
+      if (id < rank_.size() && rank_[id] != kNoRank) {
+        ranks->push_back(rank_[id]);
+      }
     }
-    std::sort(ranked.begin(), ranked.end());
+    std::sort(ranks->begin(), ranks->end());
     FpNode* node = root_;
-    for (const auto& [rank, id] : ranked) {
+    for (uint32_t rank : *ranks) {
+      const uint32_t id = headers_[rank].item;
       FpNode* child = node->first_child;
       while (child != nullptr && child->item != id) {
         child = child->next_sibling;
@@ -104,31 +106,35 @@ class FpTree {
 
   /// Heap footprint for the guard's memory accounting: the arena's
   /// real reserved block bytes (what the allocator took from the heap),
-  /// not just the node payload sum.
+  /// not just the node payload sum, plus the header and rank arrays.
   uint64_t MemoryBytes() const {
-    return arena_.allocated_bytes() +
-           headers_.size() * (sizeof(HeaderEntry) + 3 * sizeof(uint64_t));
+    return arena_.allocated_bytes() + headers_.size() * sizeof(HeaderEntry) +
+           rank_.size() * sizeof(uint32_t);
   }
 
   /// Bytes reserved by the node arena; feeds the fpm.kernel.arena.bytes
   /// counter.
   uint64_t ArenaBytes() const { return arena_.allocated_bytes(); }
 
-  /// Path of items from `node`'s parent up to (excluding) the root.
-  std::vector<uint32_t> PrefixPath(const FpNode* node) const {
-    std::vector<uint32_t> path;
+  /// Header position of `item`, which must be in the header.
+  uint32_t Rank(uint32_t item) const { return rank_[item]; }
+
+  /// Appends the items from `node`'s parent up to (excluding) the root.
+  void AppendPrefixPath(const FpNode* node, std::vector<uint32_t>* out) const {
     for (const FpNode* p = node->parent; p != nullptr && p != root_;
          p = p->parent) {
-      path.push_back(p->item);
+      out->push_back(p->item);
     }
-    return path;
   }
 
  private:
   fpm::NodeArena arena_;
   FpNode* root_ = nullptr;
   std::vector<HeaderEntry> headers_;
-  std::unordered_map<uint32_t, uint32_t> rank_;
+  /// Header position of each item id, kNoRank for items not in the
+  /// header; sized to the largest header item id + 1.
+  std::vector<uint32_t> rank_;
+  static constexpr uint32_t kNoRank = UINT32_MAX;
 };
 
 void MineTree(const FpTree& tree, const Itemset& suffix,
@@ -149,26 +155,42 @@ void MineHeaderItem(const FpTree& tree, size_t hi, const Itemset& suffix,
   out->push_back(MinedPattern{pattern, h.totals});
   if (max_length != 0 && suffix.size() + 1 >= max_length) return;
 
-  // Conditional pattern base for this item.
-  std::vector<std::pair<std::vector<uint32_t>, OutcomeCounts>> base;
-  std::unordered_map<uint32_t, OutcomeCounts> cond_totals;
+  // Conditional pattern base for this item, flat: path p is
+  // path_items[path_ends[p - 1], path_ends[p]) with tallies
+  // path_counts[p]. Every item on a path sits above h in the tree, so
+  // it ranks before hi and cond_totals can be indexed by rank.
+  std::vector<uint32_t> path_items;
+  std::vector<size_t> path_ends;
+  std::vector<OutcomeCounts> path_counts;
+  std::vector<OutcomeCounts> cond_totals(hi);
   for (const FpNode* node = h.head; node != nullptr;
        node = node->next_header) {
-    std::vector<uint32_t> path = tree.PrefixPath(node);
-    if (path.empty()) continue;
-    for (uint32_t id : path) cond_totals[id] += node->counts;
-    base.emplace_back(std::move(path), node->counts);
+    const size_t begin = path_items.size();
+    tree.AppendPrefixPath(node, &path_items);
+    if (path_items.size() == begin) continue;
+    for (size_t k = begin; k < path_items.size(); ++k) {
+      cond_totals[tree.Rank(path_items[k])] += node->counts;
+    }
+    path_ends.push_back(path_items.size());
+    path_counts.push_back(node->counts);
   }
   std::vector<std::pair<uint32_t, OutcomeCounts>> freq_items;
-  for (const auto& [id, totals] : cond_totals) {
-    if (totals.total() >= min_count) freq_items.emplace_back(id, totals);
+  for (size_t r = 0; r < hi; ++r) {
+    if (cond_totals[r].total() >= min_count) {
+      freq_items.emplace_back(tree.headers()[r].item, cond_totals[r]);
+    }
   }
   if (freq_items.empty()) return;
 
   FpTree cond;
   cond.SetItems(std::move(freq_items));
-  for (auto& [path, counts] : base) {
-    cond.Insert(std::move(path), counts);
+  std::vector<uint32_t> ranks;
+  size_t path_begin = 0;
+  for (size_t p = 0; p < path_ends.size(); ++p) {
+    cond.Insert(ItemSpan(path_items).subspan(path_begin,
+                                             path_ends[p] - path_begin),
+                path_counts[p], &ranks);
+    path_begin = path_ends[p];
   }
   RunGuard* guard = ctrl->guard();
   const uint64_t cond_bytes = cond.MemoryBytes();
@@ -261,7 +283,7 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
 
   // Pass 2: build the FP-tree with outcome deltas on every node.
   tree.SetItems(std::move(freq_items));
-  std::vector<uint32_t> items;
+  std::vector<uint32_t> ranks;
   for (size_t r = 0; r < n; ++r) {
     if (guard != nullptr && !guard->Tick()) {
       close_build();
@@ -279,8 +301,7 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
         delta.bot = 1;
         break;
     }
-    items.assign(db.row(r), db.row(r) + db.num_attributes());
-    tree.Insert(items, delta);
+    tree.Insert(ItemSpan(db.row(r), db.num_attributes()), delta, &ranks);
   }
 
   build_timer.AddItems(n);

@@ -39,15 +39,16 @@ class NodeArena {
   NodeArena(const NodeArena&) = delete;
   NodeArena& operator=(const NodeArena&) = delete;
 
-  /// Raw allocation of `size` bytes aligned to `align` (a power of
-  /// two <= alignof(std::max_align_t)). Oversized requests get a
-  /// dedicated block.
+  /// Raw, uninitialized allocation of `size` bytes aligned to `align`
+  /// (a power of two <= alignof(std::max_align_t)). Oversized requests
+  /// get a dedicated block.
   void* Allocate(size_t size, size_t align) {
     size_t offset = (cursor_ + align - 1) & ~(align - 1);
     if (current_ == nullptr || offset + size > current_bytes_) {
       const size_t need = size + align;
       const size_t bytes = need > block_bytes_ ? need : block_bytes_;
-      blocks_.push_back(std::make_unique<unsigned char[]>(bytes));
+      // Not zero-filled: New() constructs every object it hands out.
+      blocks_.push_back(std::make_unique_for_overwrite<unsigned char[]>(bytes));
       current_ = blocks_.back().get();
       current_bytes_ = bytes;
       allocated_bytes_ += bytes;

@@ -6,8 +6,23 @@
 #include "fpm/apriori.h"
 #include "fpm/eclat.h"
 #include "fpm/fpgrowth.h"
+#include "util/parallel.h"
 
 namespace divexp {
+namespace {
+
+bool CanonicalLess(const MinedPattern& a, const MinedPattern& b) {
+  if (a.items.size() != b.items.size()) {
+    return a.items.size() < b.items.size();
+  }
+  return a.items < b.items;
+}
+
+// Below this many patterns per thread, SortPatterns sorts serially: a
+// thread start and a merge cost more than they save.
+constexpr size_t kMinPatternsPerSortThread = 1 << 14;
+
+}  // namespace
 
 const char* MinerKindName(MinerKind kind) {
   switch (kind) {
@@ -56,14 +71,36 @@ void EnforcePatternBudget(RunGuard* guard,
   }
 }
 
-void SortPatterns(std::vector<MinedPattern>* patterns) {
-  std::sort(patterns->begin(), patterns->end(),
-            [](const MinedPattern& a, const MinedPattern& b) {
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
+void SortPatterns(std::vector<MinedPattern>* patterns, size_t num_threads) {
+  const size_t n = patterns->size();
+  const size_t runs = std::min(num_threads, n / kMinPatternsPerSortThread);
+  if (runs <= 1) {
+    std::sort(patterns->begin(), patterns->end(), CanonicalLess);
+    return;
+  }
+  // Sort `runs` contiguous runs in parallel; bounds[r] is where run r
+  // starts.
+  std::vector<size_t> bounds(runs + 1);
+  for (size_t r = 0; r <= runs; ++r) bounds[r] = r * n / runs;
+  ParallelFor(num_threads, runs, [&](size_t r) {
+    std::sort(patterns->begin() + bounds[r],
+              patterns->begin() + bounds[r + 1], CanonicalLess);
+  });
+
+  // Merge adjacent runs pairwise, doubling the run width each round;
+  // the merges within a round are independent.
+  for (size_t width = 1; width < runs; width *= 2) {
+    ParallelFor(num_threads, (runs + 2 * width - 1) / (2 * width),
+                [&](size_t k) {
+                  const size_t lo = 2 * k * width;
+                  const size_t mid = std::min(lo + width, runs);
+                  const size_t hi = std::min(lo + 2 * width, runs);
+                  std::inplace_merge(patterns->begin() + bounds[lo],
+                                     patterns->begin() + bounds[mid],
+                                     patterns->begin() + bounds[hi],
+                                     CanonicalLess);
+                });
+  }
 }
 
 }  // namespace divexp

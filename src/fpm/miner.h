@@ -132,8 +132,12 @@ std::unique_ptr<FrequentPatternMiner> MakeMiner(MinerKind kind);
 uint64_t MinCount(double min_support, size_t num_rows);
 
 /// Sorts patterns by (length, lexicographic items) for deterministic
-/// comparison across miners.
-void SortPatterns(std::vector<MinedPattern>* patterns);
+/// comparison across miners. With num_threads > 1 a large input is
+/// sorted in contiguous runs on separate threads, which are then merged
+/// pairwise; the result is the same permutation at every thread count
+/// (the order is total because itemsets are unique).
+void SortPatterns(std::vector<MinedPattern>* patterns,
+                  size_t num_threads = 1);
 
 /// Per-shard mining control used inside the miner backends. Polls the
 /// shared RunGuard's hard limits (cancel/deadline/memory) and enforces

@@ -30,9 +30,12 @@ inline constexpr const char* kStageEncode = "load.encode";
 inline constexpr const char* kStageTransactions = "explore.transactions";
 inline constexpr const char* kStageMineBuild = "mine.build";
 inline constexpr const char* kStageMineGrow = "mine.grow";
+/// The canonical (length, lex) sort of the mined patterns.
+inline constexpr const char* kStageCanonicalize = "explore.canonicalize";
 inline constexpr const char* kStageDivergence = "explore.divergence";
-/// Sub-interval of explore.divergence: the pattern table's lattice
-/// index build + parallel per-row stat pass (see docs/performance.md).
+/// Sub-interval of explore.divergence: the pattern table's itemset and
+/// lattice index builds + parallel per-row stat pass (see
+/// docs/performance.md).
 inline constexpr const char* kStagePostIndex = "explore.post_index";
 inline constexpr const char* kStageShapley = "analysis.shapley";
 inline constexpr const char* kStageGlobal = "analysis.global";

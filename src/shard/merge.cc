@@ -185,7 +185,7 @@ Result<ShardMergeResult> MergeShardContributions(
           MinedPattern{std::move(candidates[ci]), counts[ci]});
     }
   }
-  SortPatterns(&frequent);
+  SortPatterns(&frequent, options.num_threads);
   ItemsetSet kept;
   std::vector<MinedPattern> closed;
   closed.push_back(MinedPattern{Itemset{}, totals});

@@ -1,6 +1,15 @@
-// Minimal data-parallel helper: static partitioning of an index range
-// over std::thread workers. Used by the miners' optional multi-threaded
-// mode; with num_threads <= 1 it degrades to a plain loop.
+// Minimal data-parallel helpers over std::thread workers, used by the
+// miners, the divergence post-pass and the canonical sort. With
+// num_threads <= 1 both degrade to a plain loop on the calling thread.
+//
+// ParallelFor schedules dynamically: workers claim blocks of indices
+// from a shared atomic cursor, so a few expensive indices (FP-growth's
+// first top-level conditional trees, a heavy ECLAT root) no longer pin
+// one worker while the others idle. Use it when fn(i) writes only its
+// own per-i slot, so the result cannot depend on which worker ran i.
+//
+// ParallelForChunks keeps a fixed contiguous partition, c·n/chunks, for
+// reductions whose floating-point result must not depend on timing.
 #ifndef DIVEXP_UTIL_PARALLEL_H_
 #define DIVEXP_UTIL_PARALLEL_H_
 
@@ -58,9 +67,12 @@ class ParallelErrorLatch {
 
 }  // namespace internal
 
-/// Invokes fn(i) for every i in [0, n), split contiguously over
-/// `num_threads` workers. fn must be safe to call concurrently for
-/// distinct i (typically writing to per-i output slots).
+/// Invokes fn(i) for every i in [0, n) on up to `num_threads` workers.
+/// Workers claim blocks of max(1, n / (workers·64)) consecutive indices
+/// from a shared cursor until the range is exhausted, so the split
+/// follows the cost of each index rather than its position. fn must be
+/// safe to call concurrently for distinct i (typically writing to
+/// per-i output slots).
 ///
 /// Exception safety: if a worker's fn throws, the first exception is
 /// captured and rethrown on the calling thread after all workers have
@@ -78,27 +90,32 @@ inline void ParallelFor(size_t num_threads, size_t n,
     return;
   }
   const size_t workers = std::min(num_threads, n);
+  const size_t grain = std::max<size_t>(1, n / (workers * 64));
+  std::atomic<size_t> cursor{0};
   internal::ParallelErrorLatch latch;
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([w, workers, n, &fn, &latch] {
-      // Contiguous chunks keep per-thread output cache-friendly.
-      const size_t begin = w * n / workers;
-      const size_t end = (w + 1) * n / workers;
+    threads.emplace_back([n, grain, &cursor, &fn, &latch] {
       try {
         DIVEXP_FAILPOINT("parallel.worker");
       } catch (...) {
         latch.Capture();
         return;
       }
-      for (size_t i = begin; i < end; ++i) {
-        if (latch.failed()) return;
-        try {
-          fn(i);
-        } catch (...) {
-          latch.Capture();
-          return;
+      for (;;) {
+        const size_t begin =
+            cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const size_t end = std::min(n, begin + grain);
+        for (size_t i = begin; i < end; ++i) {
+          if (latch.failed()) return;
+          try {
+            fn(i);
+          } catch (...) {
+            latch.Capture();
+            return;
+          }
         }
       }
     });
@@ -116,9 +133,10 @@ inline size_t ParallelChunkCount(size_t num_threads, size_t n) {
   return std::min(num_threads, n);
 }
 
-/// Invokes fn(chunk, begin, end) once per contiguous chunk of [0, n),
-/// chunk boundaries identical to ParallelFor's worker partition. Meant
-/// for reductions: each chunk fills its own accumulator slot and the
+/// Invokes fn(chunk, begin, end) once per contiguous chunk of [0, n);
+/// chunk c spans [c·n/chunks, (c+1)·n/chunks), a fixed partition that
+/// does not depend on timing (unlike ParallelFor's claimed blocks).
+/// Meant for reductions: each chunk fills its own accumulator slot and the
 /// caller combines slots in chunk order, so the reduction order — and
 /// therefore the floating-point result — is deterministic for a fixed
 /// thread count. Same exception contract as ParallelFor.

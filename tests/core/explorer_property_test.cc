@@ -1,10 +1,14 @@
 // Parameterized invariants of the full exploration, swept over
-// metric × miner × support on randomized datasets.
+// metric × miner × support on randomized datasets, and the table's
+// independence of the thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/explorer.h"
+#include "obs/stage.h"
+#include "testing/artifact_bytes.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -158,6 +162,58 @@ INSTANTIATE_TEST_SUITE_P(AllMiners, SupportMonotonicityTest,
                          ::testing::Values(MinerKind::kFpGrowth,
                                            MinerKind::kApriori,
                                            MinerKind::kEclat));
+
+// The explore stage's parallel parts (mining units, the canonical
+// sort, the itemset index, the stat and link pass) must not leak the
+// thread count into the table: every miner at 1, 2 and 4 threads writes
+// the same artifact bytes. The table (~53k patterns) is large enough
+// that the canonical sort splits into two runs at 2 threads and three
+// (an odd one out) at 4.
+TEST(ExplorerThreadInvarianceTest, ArtifactBytesIdenticalAcrossThreads) {
+  Rng rng(2024);
+  std::vector<std::vector<int>> cells;
+  std::string outcomes;
+  for (int r = 0; r < 1500; ++r) {
+    std::vector<int> row;
+    for (int a = 0; a < 8; ++a) {
+      row.push_back(static_cast<int>(rng.Below(4)));
+    }
+    outcomes += rng.Bernoulli(0.2 + 0.1 * row[0]) ? 'T' : 'F';
+    cells.push_back(std::move(row));
+  }
+  const EncodedDataset dataset =
+      testing::MakeEncoded(cells, std::vector<int>(8, 4));
+
+  std::string reference;
+  for (MinerKind miner :
+       {MinerKind::kFpGrowth, MinerKind::kEclat, MinerKind::kApriori}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ExplorerOptions opts;
+      opts.min_support = 0.001;
+      opts.miner = miner;
+      opts.num_threads = threads;
+      DivergenceExplorer explorer(opts);
+      auto table = explorer.ExploreOutcomes(
+          dataset, testing::OutcomesFromString(outcomes));
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      // Three of SortPatterns' minimum 16,384 patterns per sort thread.
+      ASSERT_GE(table->size(), 3u * 16384u);
+
+      const obs::StageStats* canonicalize = nullptr;
+      for (const obs::StageStats& s : explorer.last_run_stats().stages) {
+        if (s.name == obs::kStageCanonicalize) canonicalize = &s;
+      }
+      ASSERT_NE(canonicalize, nullptr);
+      EXPECT_EQ(canonicalize->items, table->size());
+
+      const std::string bytes = testing::WriteArtifactBytes(*table);
+      if (reference.empty()) reference = bytes;
+      // EXPECT_TRUE, not EXPECT_EQ: a failure must not print megabytes.
+      EXPECT_TRUE(bytes == reference)
+          << MinerKindName(miner) << " threads=" << threads;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace divexp

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
+#include <set>
 
 #include "testing/test_explore.h"
+#include "util/random.h"
 
 namespace divexp {
 namespace {
@@ -203,6 +206,129 @@ TEST(PatternTableTest, SignificanceGrowsWithSampleSize) {
   const double t_small = small.row(*small.Find(Itemset{0})).t;
   const double t_big = big.row(*big.Find(Itemset{0})).t;
   EXPECT_GT(t_big, t_small);
+}
+
+// Mined patterns for a table with the empty itemset plus `count`
+// random distinct itemsets over 40 item ids. Not downward closed, so
+// some subset links stay kNoLink; Create does not need closure.
+std::vector<MinedPattern> RandomMined(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::set<Itemset> unique = {Itemset{}};
+  while (unique.size() < count + 1) {
+    std::vector<uint32_t> ids(1 + rng.Below(5));
+    for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.Below(40));
+    unique.insert(MakeItemset(std::move(ids)));
+  }
+  std::vector<MinedPattern> mined;
+  for (const Itemset& items : unique) {
+    mined.push_back({items, OutcomeCounts{1 + rng.Below(5), 1, 0}});
+  }
+  rng.Shuffle(&mined);
+  return mined;
+}
+
+ItemCatalog FortyItemCatalog() {
+  ItemCatalog catalog;
+  std::vector<std::string> values;
+  for (int v = 0; v < 40; ++v) values.push_back("v" + std::to_string(v));
+  catalog.AddAttribute("a", values);
+  return catalog;
+}
+
+std::optional<size_t> LinearFind(const PatternTable& table,
+                                  const Itemset& items) {
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (table.row(i).items == items) return i;
+  }
+  return std::nullopt;
+}
+
+// Every Find overload against a linear scan, on `table`, for each row's
+// own itemset, each row's immediate subsets (as skip views) and random
+// probes, most of them absent.
+void ExpectFindMatchesLinearScan(const PatternTable& table, uint64_t seed) {
+  for (size_t i = 0; i < table.size(); ++i) {
+    const Itemset& items = table.row(i).items;
+    EXPECT_EQ(table.Find(items), std::optional<size_t>(i));
+    EXPECT_EQ(table.Find(ItemSpan(items)), std::optional<size_t>(i));
+    for (size_t j = 0; j < items.size(); ++j) {
+      Itemset subset = items;
+      subset.erase(subset.begin() + static_cast<ptrdiff_t>(j));
+      EXPECT_EQ(table.Find(ItemsetSkipView{ItemSpan(items), j}),
+                LinearFind(table, subset))
+          << ItemsetDebugString(items) << " skip " << j;
+    }
+  }
+  Rng rng(seed);
+  for (int probe = 0; probe < 2000; ++probe) {
+    std::vector<uint32_t> ids(rng.Below(7));
+    for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.Below(45));
+    const Itemset key = MakeItemset(std::move(ids));
+    const std::optional<size_t> expected = LinearFind(table, key);
+    EXPECT_EQ(table.Find(key), expected) << ItemsetDebugString(key);
+    EXPECT_EQ(table.Find(ItemSpan(key)), expected);
+    // The same key as a skip view of a one-longer sequence.
+    Itemset padded = key;
+    padded.push_back(1000);
+    EXPECT_EQ(table.Find(ItemsetSkipView{ItemSpan(padded), key.size()}),
+              expected);
+  }
+}
+
+TEST(PatternTableIndexTest, FindMatchesLinearScanOnRandomTables) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      PatternTableOptions options;
+      options.num_threads = threads;
+      auto table = PatternTable::Create(RandomMined(seed, 3000),
+                                        FortyItemCatalog(), 10, nullptr,
+                                        options);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_EQ(table->size(), 3001u);
+      ExpectFindMatchesLinearScan(*table, seed + 100);
+    }
+  }
+}
+
+TEST(PatternTableIndexTest, RootOnlyTable) {
+  std::vector<MinedPattern> mined;
+  mined.push_back({Itemset{}, OutcomeCounts{3, 1, 0}});
+  auto table =
+      PatternTable::Create(std::move(mined), FortyItemCatalog(), 4);
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->size(), 1u);
+  EXPECT_EQ(table->Find(Itemset{}), std::optional<size_t>(0));
+  const Itemset single = {7};
+  EXPECT_EQ(table->Find(ItemsetSkipView{ItemSpan(single), 0}),
+            std::optional<size_t>(0));
+  ExpectFindMatchesLinearScan(*table, 9);
+}
+
+TEST(PatternTableIndexTest, DuplicateRejectedAtEveryThreadCount) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    std::vector<MinedPattern> mined = RandomMined(5, 2000);
+    const MinedPattern twin = mined[mined.size() / 2];
+    mined.push_back(twin);  // far from the original
+    PatternTableOptions options;
+    options.num_threads = threads;
+    auto table = PatternTable::Create(std::move(mined), FortyItemCatalog(),
+                                      10, nullptr, options);
+    ASSERT_FALSE(table.ok()) << "threads=" << threads;
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(PatternTableIndexTest, CreateMaterializesNoItemsets) {
+  // The index and the link pass compare probes against the rows' own
+  // items; building the table copies or materializes no itemset.
+  std::vector<MinedPattern> mined = RandomMined(11, 3000);
+  PatternTableOptions options;
+  options.num_threads = 2;
+  const uint64_t before = ItemsetAllocCount();
+  auto table = PatternTable::Create(std::move(mined), FortyItemCatalog(), 10,
+                                    nullptr, options);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(ItemsetAllocCount(), before);
 }
 
 }  // namespace

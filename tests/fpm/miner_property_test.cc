@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 
 #include "fpm/apriori.h"
 #include "fpm/fpgrowth.h"
@@ -188,6 +189,36 @@ TEST(SortPatternsTest, DeterministicOrder) {
   EXPECT_EQ(patterns[1].items, Itemset{1});
   EXPECT_EQ(patterns[2].items, (Itemset{1, 4}));
   EXPECT_EQ(patterns[3].items, (Itemset{2, 3}));
+}
+
+TEST(SortPatternsTest, ParallelSortMatchesSerialAtEveryThreadCount) {
+  // Enough distinct itemsets that up to 8 threads each get a run of
+  // their own, in a shuffled order with lengths mixed throughout.
+  std::set<Itemset> unique;
+  Rng rng(17);
+  while (unique.size() < 200000) {
+    std::vector<uint32_t> ids(rng.Below(7));
+    for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.Below(60));
+    unique.insert(MakeItemset(std::move(ids)));
+  }
+  std::vector<MinedPattern> input;
+  for (const Itemset& items : unique) {
+    input.push_back({items, {input.size(), 1, 0}});  // t tags the row
+  }
+  rng.Shuffle(&input);
+  std::vector<MinedPattern> serial = input;
+  SortPatterns(&serial);
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                         size_t{8}}) {
+    std::vector<MinedPattern> parallel = input;
+    SortPatterns(&parallel, threads);
+    ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(parallel[i].items, serial[i].items)
+          << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(parallel[i].counts.t, serial[i].counts.t);
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Unit tests for ParallelFor's range handling, in particular the empty
 // range: n == 0 with any thread count must spawn no workers, invoke the
-// body zero times, and return immediately.
+// body zero times, and return immediately. Also pins the two schedules:
+// ParallelFor's claimed blocks and ParallelForChunks' fixed partition.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/parallel.h"
@@ -70,6 +73,53 @@ TEST(ParallelForTest, WorkerExceptionRethrownOnCaller) {
                     if (i == 42) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
+}
+
+TEST(ParallelForTest, IdleWorkerClaimsTheRestWhileOneIndexBlocks) {
+  // Index 0 returns only once every other index has run. With claimed
+  // blocks the second worker drains the range meanwhile; with one fixed
+  // contiguous slice per worker, indices 1..n/2-1 would sit behind
+  // index 0 on the same worker. The wait is bounded, so that schedule
+  // fails here instead of hanging.
+  constexpr size_t kN = 64;
+  std::atomic<size_t> others_done{0};
+  bool waited_for_all = false;
+  ParallelFor(2, kN, [&](size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < kN - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    waited_for_all = others_done.load() == kN - 1;
+  });
+  EXPECT_TRUE(waited_for_all);
+  EXPECT_EQ(others_done.load(), kN - 1);
+}
+
+TEST(ParallelForChunksTest, ChunkBoundariesAreFixedFractions) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    for (size_t n : {size_t{1}, size_t{5}, size_t{7}, size_t{100}}) {
+      const size_t chunks = ParallelChunkCount(threads, n);
+      std::vector<std::pair<size_t, size_t>> ranges(chunks);
+      std::atomic<size_t> calls{0};
+      ParallelForChunks(threads, n, [&](size_t c, size_t begin, size_t end) {
+        ranges[c] = {begin, end};
+        calls.fetch_add(1);
+      });
+      ASSERT_EQ(calls.load(), chunks) << "threads=" << threads << " n=" << n;
+      for (size_t c = 0; c < chunks; ++c) {
+        EXPECT_EQ(ranges[c].first, c * n / chunks)
+            << "threads=" << threads << " n=" << n << " c=" << c;
+        EXPECT_EQ(ranges[c].second, (c + 1) * n / chunks)
+            << "threads=" << threads << " n=" << n << " c=" << c;
+      }
+    }
+  }
 }
 
 }  // namespace

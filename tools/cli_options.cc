@@ -326,7 +326,9 @@ std::string UsageString() {
       "  --kernel NAME      hot-loop implementation: auto (default,\n"
       "                     best SIMD the CPU supports), scalar, simd;\n"
       "                     all choices give bit-identical results\n"
-      "  --threads N        worker threads for mining (default: 1)\n"
+      "  --threads N        worker threads for mining, the canonical sort\n"
+      "                     and the post-pass (default: 1); results do\n"
+      "                     not depend on it\n"
       "  --report FILE      write a composed markdown audit report\n"
       "\n"
       "observability:\n"
