@@ -1,8 +1,9 @@
 // Experiment PP — divergence post-pass A/B: the lattice-indexed,
 // allocation-free ComputeGlobalItemDivergence against the pre-index
-// reference path (one temporary itemset + hash lookup per
-// (pattern, item)), plus the parallel pattern-table build, on the
-// synthetic COMPAS-scale table. Emits BENCH_postpass.json.
+// reference path (one temporary itemset + one PatternTable::Find, a
+// binary search over the canonical order, per (pattern, item)), plus
+// the parallel pattern-table build, on the synthetic COMPAS-scale
+// table. Emits BENCH_postpass.json.
 //
 // usage: bench_postpass [--dataset=compas] [--support=0.01]
 //          [--threads=N] [--repeat=R] [--smoke] [--check-speedup=X]
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
     if (t == threads && t == 1) break;
   }
 
-  // Global item divergence: legacy (temporary itemsets + hash lookups,
+  // Global item divergence: legacy (temporary itemsets + table lookups,
   // sequential) vs lattice-indexed (sequential and parallel).
   std::vector<GlobalItemDivergence> legacy;
   const double legacy_ms = MinMillis(repeat, [&] {

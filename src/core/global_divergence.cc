@@ -21,7 +21,7 @@ long double DomainProduct(const ItemCatalog& catalog, ItemSpan k) {
   return prod;
 }
 
-// The pre-index reference path: one temporary itemset + hash lookup per
+// The pre-index reference path: one temporary itemset + table lookup per
 // (pattern, item). Kept verbatim for A/B benchmarking and as the oracle
 // of the differential tests.
 void AccumulateGlobalReference(const PatternTable& table,
@@ -74,7 +74,7 @@ std::vector<GlobalItemDivergence> ComputeGlobalItemDivergence(
   // marginal Δ(K) − Δ(K \ {α}) to every item α ∈ K, with the Eq. 8
   // weight determined by |K| and the domain sizes of K's attributes.
   // K \ {α} is read straight off the lattice links — no itemset is
-  // materialized, no hash is computed. Each chunk accumulates into its
+  // materialized, no lookup is made. Each chunk accumulates into its
   // own per-item slots; the reduction below runs in chunk order, so the
   // result is deterministic for a fixed thread count.
   const size_t chunks =
@@ -138,7 +138,7 @@ Result<double> GlobalItemsetDivergence(const PatternTable& table,
     const long double weight =
         fact[b] * fact[num_attrs - b - i_len] / denom;
     // Resolve J = K \ I by chasing one lattice link per item of I
-    // instead of materializing J and hashing it.
+    // instead of materializing J and looking it up.
     size_t cur = i;
     bool resolved = true;
     for (uint32_t alpha : itemset) {

@@ -28,7 +28,7 @@ struct GlobalDivergenceOptions {
   /// any other thread count — only the FP summation order differs).
   size_t num_threads = 1;
   /// false = the pre-index reference path (sequential, one temporary
-  /// itemset + hash lookup per (pattern, item)). Kept for A/B
+  /// itemset + table lookup per (pattern, item)). Kept for A/B
   /// benchmarking (bench/postpass_bench.cc) and the differential tests.
   bool use_lattice_index = true;
 };

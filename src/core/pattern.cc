@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "obs/trace.h"
 #include "stats/beta.h"
@@ -69,49 +70,16 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
     table.rows_.push_back(std::move(row));
   }
 
-  // Post-index pass over the now-frozen row set: the itemset index, then
-  // per-row stats (Beta posterior + Welch t) and the immediate-subset
-  // lattice links. All are per-row work, so they parallelize with
-  // results identical across thread counts.
+  // Post-index pass over the now-frozen row set: the canonical order,
+  // then per-row stats (Beta posterior + Welch t) and the
+  // immediate-subset lattice links. Every stat and link is a pure
+  // function of the row set, so results are identical across thread
+  // counts.
   obs::StageTimer timer(options.stages, obs::kStagePostIndex);
   obs::ScopedSpan span(obs::kStagePostIndex);
   const size_t n = table.rows_.size();
-  const double denom =
-      num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
-
-  // Rows claim index slots by CAS, so the build runs in parallel. Two
-  // equal itemsets hash to the same probe sequence and slots only go
-  // from empty to taken, so whichever comes second meets the first.
-  size_t slots = 2;
-  int slot_bits = 1;
-  while (slots < 2 * n) {
-    slots <<= 1;
-    ++slot_bits;
-  }
-  table.index_.assign(slots, kEmptySlot);
-  table.index_shift_ = 64 - slot_bits;
-  std::atomic<bool> duplicate{false};
-  ParallelFor(options.num_threads, n, [&table, &duplicate](size_t i) {
-    const ItemSpan items(table.rows_[i].items);
-    const size_t mask = table.index_.size() - 1;
-    for (size_t s = table.HomeSlot(ItemsetHash{}(items));;
-         s = (s + 1) & mask) {
-      std::atomic_ref<uint32_t> slot(table.index_[s]);
-      uint32_t id = slot.load();
-      if (id == kEmptySlot &&
-          slot.compare_exchange_strong(id, static_cast<uint32_t>(i))) {
-        return;
-      }
-      // `id` is the slot's occupant (a failed CAS reloaded it).
-      if (ItemsetEq{}(table.rows_[id].items, items)) {
-        duplicate.store(true);
-        return;
-      }
-    }
-  });
-  if (duplicate.load()) {
-    return Status::InvalidArgument("duplicate itemset in mined patterns");
-  }
+  DIVEXP_ASSIGN_OR_RETURN(const bool identity,
+                          table.BuildOrder(options.num_threads));
 
   table.link_offsets_.resize(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -119,40 +87,173 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
         table.link_offsets_[i] + table.rows_[i].items.size();
   }
   table.subset_links_.assign(table.link_offsets_[n], kNoLink);
-
-  ParallelFor(options.num_threads, n, [&table, denom](size_t i) {
-    PatternRow& row = table.rows_[i];
-    row.support = static_cast<double>(row.counts.total()) / denom;
-    row.rate = row.counts.PositiveRate();
-    row.divergence = row.rate - table.global_rate_;
-    const BetaPosterior post =
-        BetaPosteriorFromCounts(row.counts.t, row.counts.f);
-    row.t = WelchTFromPosteriors(post.mean, post.variance,
-                                 table.global_mean_,
-                                 table.global_variance_);
-    const ItemSpan items(row.items);
-    uint32_t* links = table.subset_links_.data() + table.link_offsets_[i];
-    for (size_t j = 0; j < items.size(); ++j) {
-      // kNoLink stays only when a guard truncation dropped the subset.
-      const auto sub = table.Find(ItemsetSkipView{items, j});
-      if (sub.has_value()) links[j] = static_cast<uint32_t>(*sub);
-    }
-  });
+  const double denom =
+      num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
+  const uint64_t scratch_bytes =
+      table.BuildStatsAndLinks(denom, options.num_threads, identity);
   timer.AddItems(n);
-  timer.SetPeakBytes((table.subset_links_.size() + table.index_.size()) *
-                     sizeof(uint32_t));
+  timer.SetPeakBytes(
+      (table.subset_links_.size() + table.order_.size()) *
+          sizeof(uint32_t) +
+      scratch_bytes);
   return table;
+}
+
+Result<bool> PatternTable::BuildOrder(size_t num_threads) {
+  const size_t n = rows_.size();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), uint32_t{0});
+  // Every explorer path sorts before Create, so one strictly-increasing
+  // check usually proves the identity (and no duplicates).
+  std::atomic<bool> sorted{true};
+  ParallelForChunks(num_threads, n == 0 ? 0 : n - 1,
+                    [this, &sorted](size_t, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) {
+                        if (CanonicalCompare(ItemSpan(rows_[i].items),
+                                             rows_[i + 1].items) >= 0) {
+                          sorted.store(false, std::memory_order_relaxed);
+                          return;
+                        }
+                      }
+                    });
+  if (sorted.load()) return true;
+  std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+    return CanonicalCompare(ItemSpan(rows_[a].items), rows_[b].items) < 0;
+  });
+  for (size_t p = 1; p < n; ++p) {
+    if (CanonicalCompare(ItemSpan(rows_[order_[p - 1]].items),
+                         rows_[order_[p]].items) == 0) {
+      return Status::InvalidArgument("duplicate itemset in mined patterns");
+    }
+  }
+  return false;
+}
+
+// The link walk works in canonical positions p (row order_[p]); level k,
+// the k-itemsets, is the position range [level[k], level[k + 1]). For a
+// k-itemset K = (a_0 … a_{k−1}) with prefix P = K \ {a_{k−1}}:
+//  - link k−1 is P itself, found by a merge pointer over level k − 1
+//    (prefixes are nondecreasing along a level);
+//  - link j < k−1 is K \ {a_j} = Q ∪ {a_{k−1}} with Q = P \ {a_j}, P's
+//    own link j. Every (k−1)-row with prefix Q lies in Q's contiguous
+//    child range, sorted by last item, so one lower_bound over the
+//    last-item column finds it.
+// A binary search over level k − 1 covers the rows whose P or Q is
+// absent, which only non-downward-closed or guard-truncated tables have.
+// Links hold positions during the walk and row ids after it.
+uint64_t PatternTable::BuildStatsAndLinks(double denom, size_t num_threads,
+                                          bool identity) {
+  const size_t n = rows_.size();
+  const auto items_at = [this](size_t p) {
+    return ItemSpan(rows_[order_[p]].items);
+  };
+  const auto links_at = [this](size_t p) {
+    return subset_links_.data() + link_offsets_[order_[p]];
+  };
+  std::vector<size_t> level = {0};
+  const size_t max_len = n == 0 ? 0 : items_at(n - 1).size();
+  for (size_t k = 0; k <= max_len; ++k) {
+    level.push_back(static_cast<size_t>(
+        std::partition_point(order_.begin() + level.back(), order_.end(),
+                             [this, k](uint32_t id) {
+                               return rows_[id].items.size() <= k;
+                             }) -
+        order_.begin()));
+  }
+  std::vector<uint32_t> last(n);  // last item per position
+  // [begin, end) of each level-(k−2) row's children in level k − 1.
+  std::vector<uint32_t> children;
+  size_t peak_children = 0;
+
+  constexpr size_t kBlock = 2048;
+  for (size_t k = 0; k <= max_len; ++k) {
+    const size_t begin = level[k];
+    const size_t end = level[k + 1];
+    const size_t sub_begin = k == 0 ? 0 : level[k - 1];
+    const size_t blocks = (end - begin + kBlock - 1) / kBlock;
+    ParallelFor(num_threads, blocks, [&](size_t b) {
+      const size_t lo = begin + b * kBlock;
+      const size_t hi = std::min(end, lo + kBlock);
+      size_t cursor =
+          k == 0 ? 0
+                 : CanonicalLowerBound(sub_begin, begin, items_at,
+                                       items_at(lo).first(k - 1));
+      for (size_t p = lo; p < hi; ++p) {
+        PatternRow& row = rows_[order_[p]];
+        row.support = static_cast<double>(row.counts.total()) / denom;
+        row.rate = row.counts.PositiveRate();
+        row.divergence = row.rate - global_rate_;
+        const BetaPosterior post =
+            BetaPosteriorFromCounts(row.counts.t, row.counts.f);
+        row.t = WelchTFromPosteriors(post.mean, post.variance,
+                                     global_mean_, global_variance_);
+        if (k == 0) continue;
+        const ItemSpan items(row.items);
+        const uint32_t tail = items[k - 1];
+        last[p] = tail;
+        uint32_t* links = links_at(p);
+        const ItemSpan prefix = items.first(k - 1);
+        int cmp = -1;
+        while (cursor < begin &&
+               (cmp = CanonicalCompare(items_at(cursor), prefix)) < 0) {
+          ++cursor;
+        }
+        const uint32_t parent =
+            cursor < begin && cmp == 0 ? static_cast<uint32_t>(cursor)
+                                       : kNoLink;
+        links[k - 1] = parent;
+        for (size_t j = 0; j + 1 < k; ++j) {
+          const uint32_t q =
+              parent == kNoLink ? kNoLink : links_at(parent)[j];
+          if (q != kNoLink) {
+            const uint32_t* range = &children[2 * (q - level[k - 2])];
+            const uint32_t* first = last.data() + range[0];
+            const uint32_t* stop = last.data() + range[1];
+            const uint32_t* hit = std::lower_bound(first, stop, tail);
+            links[j] = hit != stop && *hit == tail
+                           ? static_cast<uint32_t>(hit - last.data())
+                           : kNoLink;
+          } else {
+            links[j] = static_cast<uint32_t>(
+                CanonicalFind(sub_begin, begin, items_at,
+                              ItemsetSkipView{items, j})
+                    .value_or(kNoLink));
+          }
+        }
+      }
+    });
+    if (k == 0) continue;
+    // Children of level k − 1's rows: the level-k rows whose prefix link
+    // points at them, contiguous because rows sharing a prefix are.
+    children.assign(2 * (begin - sub_begin), 0);
+    peak_children = std::max(peak_children, children.size());
+    for (size_t p = begin; p < end; ++p) {
+      const uint32_t parent = links_at(p)[k - 1];
+      if (parent == kNoLink) continue;
+      uint32_t* range = &children[2 * (parent - sub_begin)];
+      if (range[1] == 0) range[0] = static_cast<uint32_t>(p);
+      range[1] = static_cast<uint32_t>(p + 1);
+    }
+  }
+  if (!identity) {
+    ParallelForChunks(num_threads, subset_links_.size(),
+                      [this](size_t, size_t begin, size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          uint32_t& link = subset_links_[i];
+                          if (link != kNoLink) link = order_[link];
+                        }
+                      });
+  }
+  return (last.size() + peak_children) * sizeof(uint32_t);
 }
 
 template <typename Key>
 std::optional<size_t> PatternTable::FindKey(const Key& key) const {
-  if (index_.empty()) return std::nullopt;
-  const size_t mask = index_.size() - 1;
-  for (size_t s = HomeSlot(ItemsetHash{}(key));; s = (s + 1) & mask) {
-    const uint32_t id = index_[s];
-    if (id == kEmptySlot) return std::nullopt;
-    if (ItemsetEq{}(rows_[id].items, key)) return id;
-  }
+  const auto pos = CanonicalFind(
+      0, order_.size(),
+      [this](size_t p) { return ItemSpan(rows_[order_[p]].items); }, key);
+  if (!pos.has_value()) return std::nullopt;
+  return order_[*pos];
 }
 
 std::optional<size_t> PatternTable::Find(const Itemset& items) const {

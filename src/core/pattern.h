@@ -8,9 +8,12 @@
 // indices of its |K| immediate subsets K \ {α}, stored inline in one
 // flat array. The divergence post-pass walks these integer links
 // instead of materializing temporary itemsets and re-hashing them (see
-// docs/performance.md). Itemset lookup goes through a flat
-// open-addressing array of row ids that compares probes against the
-// rows' own items, so the table holds one copy of each itemset.
+// docs/performance.md). The links and all itemset lookups come from
+// the canonical order (length, then lexicographic), in which every
+// (k−1)-subset precedes its supersets: lookups binary-search the
+// canonical permutation of the rows, and the link pass walks it level
+// by level, so the table holds one copy of each itemset and no hash
+// index.
 #ifndef DIVEXP_CORE_PATTERN_H_
 #define DIVEXP_CORE_PATTERN_H_
 
@@ -39,19 +42,19 @@ struct PatternRow {
 
 /// Construction knobs for the divergence/significance post-pass.
 struct PatternTableOptions {
-  /// Worker threads for the itemset index, the per-row stat pass and
-  /// the lattice-index build; 1 = sequential. Results are identical
-  /// across thread counts (the passes are pure per-row computations,
-  /// and lookups do not depend on where a row id landed in the index).
+  /// Worker threads for the canonical-order check, the per-row stat
+  /// pass and the level-by-level lattice-index build; 1 = sequential.
+  /// Results are identical across thread counts (every stat and link
+  /// is a pure function of the row set).
   size_t num_threads = 1;
-  /// Optional per-stage accounting sink: the index/stat pass records an
+  /// Optional per-stage accounting sink: the order/stat/link pass records an
   /// obs::kStagePostIndex record (a sub-interval of
   /// obs::kStageDivergence).
   obs::StageCollector* stages = nullptr;
 };
 
 /// Immutable table of all frequent patterns for one (dataset, outcome
-/// function) pair, with O(1) itemset lookup and precomputed
+/// function) pair, with O(log n) itemset lookup and precomputed
 /// immediate-subset links.
 class PatternTable {
  public:
@@ -61,7 +64,10 @@ class PatternTable {
   static constexpr uint32_t kNoLink = UINT32_MAX;
 
   /// Builds from mined patterns. The empty itemset must be present (the
-  /// miners emit it); it defines the global rate f(D).
+  /// miners emit it); it defines the global rate f(D). Rows keep the
+  /// input order; input already in canonical order (SortPatterns) is
+  /// cheapest, any other order costs one sort. A duplicate itemset is
+  /// InvalidArgument.
   ///
   /// The optional `guard` governs the divergence/significance post-pass
   /// itself: if a deadline/memory limit trips mid-pass, the remaining
@@ -156,27 +162,24 @@ class PatternTable {
   bool RankLess(size_t a, size_t b, const std::vector<double>& keys,
                 bool descending) const;
 
-  /// Free slot of index_.
-  static constexpr uint32_t kEmptySlot = UINT32_MAX;
-
-  /// Slot where a probe for an itemset with hash `hash` starts: the top
-  /// bits of the hash times the 64-bit golden ratio, so every hash bit
-  /// moves the slot.
-  size_t HomeSlot(size_t hash) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ULL) >>
-        index_shift_);
-  }
-
-  /// Linear probe of index_ for any key ItemsetHash/ItemsetEq accept.
+  /// Binary search of order_ for any key CanonicalCompare accepts.
   template <typename Key>
   std::optional<size_t> FindKey(const Key& key) const;
 
+  /// Canonical order of rows_ into order_; InvalidArgument on a
+  /// duplicate itemset. True when the rows were already in canonical
+  /// order, so order_ is the identity.
+  Result<bool> BuildOrder(size_t num_threads);
+
+  /// Per-row stats and subset links, level by level in canonical order.
+  /// Returns the bytes of scratch the walk held at its peak.
+  uint64_t BuildStatsAndLinks(double denom, size_t num_threads,
+                              bool identity);
+
   std::vector<PatternRow> rows_;
-  /// Itemset index: power-of-two slots (at least twice the row count)
-  /// holding row ids or kEmptySlot, probed linearly from HomeSlot.
-  std::vector<uint32_t> index_;
-  int index_shift_ = 64;  ///< 64 − log2(index_.size())
+  /// Row ids in canonical order; the identity when the input was
+  /// sorted, as every explorer path's is.
+  std::vector<uint32_t> order_;
   /// Flat immediate-subset links; row i owns
   /// [link_offsets_[i], link_offsets_[i+1]).
   std::vector<uint32_t> subset_links_;

@@ -27,7 +27,7 @@ Result<std::vector<ItemContribution>> ShapleyContributions(
   const size_t n = items.size();
   const double n_fact = Factorial(n);
   // Immediate subsets I \ {α} come straight off the lattice links; the
-  // non-immediate subsets go through the heterogeneous hash with one
+  // non-immediate subsets go through the table's binary search with one
   // scratch buffer reused across the whole enumeration, so no Itemset
   // is materialized on the hot path.
   const std::span<const uint32_t> links = table.SubsetLinks(*row_idx);

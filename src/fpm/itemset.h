@@ -1,12 +1,13 @@
 // Itemset value type: a sorted vector of item ids with hashing and
-// subset utilities, plus allocation-free lookup views for the pattern
-// table's hot paths.
+// subset utilities, allocation-free lookup views for the pattern
+// table's hot paths, and the canonical order every table is kept in.
 #ifndef DIVEXP_FPM_ITEMSET_H_
 #define DIVEXP_FPM_ITEMSET_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,7 +19,7 @@ namespace divexp {
 using Itemset = std::vector<uint32_t>;
 
 /// Non-owning view of an itemset (or any sorted id sequence). Lets the
-/// pattern-table index answer subset queries without materializing an
+/// pattern table answer subset queries without materializing an
 /// Itemset — the key enabler of the allocation-free post-pass.
 using ItemSpan = std::span<const uint32_t>;
 
@@ -30,7 +31,56 @@ struct ItemsetSkipView {
   size_t skip = 0;
 
   size_t size() const { return items.empty() ? 0 : items.size() - 1; }
+  /// Element i of the subset.
+  uint32_t operator[](size_t i) const {
+    return items[i < skip ? i : i + 1];
+  }
 };
+
+/// Three-way compare in *canonical order*: shorter itemsets first, then
+/// lexicographic by item id. Negative, zero or positive as `a` orders
+/// before, equal to or after `b`. `B` is any id sequence with size()
+/// and operator[]: Itemset, ItemSpan or ItemsetSkipView. SortPatterns
+/// establishes this order; pattern tables and artifacts are searched
+/// in it.
+template <typename B>
+int CanonicalCompare(ItemSpan a, const B& b) {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Two ordered tests, as std::lexicographical_compare does: measured
+    // faster in binary searches than a != test first.
+    if (a[i] < b[i]) return -1;
+    if (b[i] < a[i]) return 1;
+  }
+  return 0;
+}
+
+/// First index in [lo, hi) whose itemset `row_items(i)` (an ItemSpan)
+/// does not order before `key`, for rows in canonical order.
+template <typename RowItems, typename Key>
+size_t CanonicalLowerBound(size_t lo, size_t hi, const RowItems& row_items,
+                           const Key& key) {
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CanonicalCompare(row_items(mid), key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// Index in [lo, hi) of the row whose itemset equals `key`, for rows in
+/// canonical order; O(log n · |key|), no allocation.
+template <typename RowItems, typename Key>
+std::optional<size_t> CanonicalFind(size_t lo, size_t hi,
+                                    const RowItems& row_items,
+                                    const Key& key) {
+  const size_t at = CanonicalLowerBound(lo, hi, row_items, key);
+  if (at < hi && CanonicalCompare(row_items(at), key) == 0) return at;
+  return std::nullopt;
+}
 
 /// Returns a sorted, deduplicated copy of `items`.
 Itemset MakeItemset(std::vector<uint32_t> items);

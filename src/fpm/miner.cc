@@ -12,10 +12,7 @@ namespace divexp {
 namespace {
 
 bool CanonicalLess(const MinedPattern& a, const MinedPattern& b) {
-  if (a.items.size() != b.items.size()) {
-    return a.items.size() < b.items.size();
-  }
-  return a.items < b.items;
+  return CanonicalCompare(ItemSpan(a.items), b.items) < 0;
 }
 
 // Below this many patterns per thread, SortPatterns sorts serially: a

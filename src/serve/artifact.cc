@@ -122,13 +122,6 @@ void PatchF64(std::string* out, size_t offset, double v) {
   std::memcpy(out->data() + offset, &v, sizeof(v));
 }
 
-/// True when `a` orders strictly before `b` canonically.
-bool CanonicalLess(ItemSpan a, ItemSpan b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                      b.end());
-}
-
 /// The writer-side contract: canonical order makes the view's binary
 /// search correct and implies the empty itemset sits at row 0.
 Status CheckCanonicalOrder(const PatternTable& table) {
@@ -143,8 +136,8 @@ Status CheckCanonicalOrder(const PatternTable& table) {
         "itemset must come first (run SortPatterns before Create)");
   }
   for (size_t i = 1; i < table.size(); ++i) {
-    if (!CanonicalLess(ItemSpan(table.row(i - 1).items),
-                       ItemSpan(table.row(i).items))) {
+    if (CanonicalCompare(ItemSpan(table.row(i - 1).items),
+                         table.row(i).items) >= 0) {
       return Status::InvalidArgument(
           "pattern table rows are not in canonical order at row " +
           std::to_string(i) + " (run SortPatterns before Create)");
@@ -640,7 +633,7 @@ Status PatternTableArtifact::ValidateFully() const {
       return Status::InvalidArgument(
           "artifact row 0 is not the empty itemset");
     }
-    if (i > 0 && !CanonicalLess(view_.row_items(i - 1), items)) {
+    if (i > 0 && CanonicalCompare(view_.row_items(i - 1), items) >= 0) {
       return Status::InvalidArgument(
           "artifact rows are not in canonical order at row " +
           std::to_string(i));

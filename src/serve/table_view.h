@@ -102,35 +102,11 @@ struct TableView {
   }
   double t(size_t i) const { return stats[4 * i + kStatT]; }
 
-  /// True when row i's itemset orders strictly before `q` in canonical
-  /// order (length first, then lexicographic).
-  bool RowLess(size_t i, ItemSpan q) const {
-    const ItemSpan r = row_items(i);
-    if (r.size() != q.size()) return r.size() < q.size();
-    return std::lexicographical_compare(r.begin(), r.end(), q.begin(),
-                                        q.end());
-  }
-
   /// Row index of an itemset via binary search over the canonical
   /// order; O(log n * |q|), no allocation, no side index.
   std::optional<size_t> FindRow(ItemSpan q) const {
-    size_t lo = 0;
-    size_t hi = size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (RowLess(mid, q)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo >= size()) return std::nullopt;
-    const ItemSpan r = row_items(lo);
-    if (r.size() != q.size() ||
-        !std::equal(r.begin(), r.end(), q.begin())) {
-      return std::nullopt;
-    }
-    return lo;
+    return CanonicalFind(
+        0, size(), [this](size_t i) { return row_items(i); }, q);
   }
 };
 

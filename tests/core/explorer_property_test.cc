@@ -164,11 +164,11 @@ INSTANTIATE_TEST_SUITE_P(AllMiners, SupportMonotonicityTest,
                                            MinerKind::kEclat));
 
 // The explore stage's parallel parts (mining units, the canonical
-// sort, the itemset index, the stat and link pass) must not leak the
-// thread count into the table: every miner at 1, 2 and 4 threads writes
-// the same artifact bytes. The table (~53k patterns) is large enough
-// that the canonical sort splits into two runs at 2 threads and three
-// (an odd one out) at 4.
+// sort, the order check, the stat pass and the level-by-level link
+// walk) must not leak the thread count into the table: every miner at
+// 1, 2 and 4 threads writes the same artifact bytes. The table (~53k
+// patterns) is large enough that the canonical sort splits into two
+// runs at 2 threads and three (an odd one out) at 4.
 TEST(ExplorerThreadInvarianceTest, ArtifactBytesIdenticalAcrossThreads) {
   Rng rng(2024);
   std::vector<std::vector<int>> cells;

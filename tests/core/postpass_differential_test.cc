@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/corrective.h"
 #include "core/explorer.h"
@@ -481,6 +483,245 @@ TEST(PatternTableAccountingTest, ChargesPerRowFootprint) {
   // Strictly more than the old sizeof(PatternRow)-only accounting.
   EXPECT_GE(guard.peak_memory_bytes(),
             (table->size() - 1) * sizeof(PatternRow) + items_bytes);
+}
+
+// ---------------------------------------------------------------------
+// Subset links from the canonical order. The level walk (prefix merge,
+// child-range search over the last-item column, binary-search fallback)
+// must give every row exactly the rows of its immediate subsets, on
+// complete, non-closed, shuffled and truncated tables, at every thread
+// count. The tables are large enough that the widest levels span
+// several of the walk's parallel blocks.
+
+const size_t kLinkThreads[] = {1, 2, 4};
+
+// Row of every itemset, built by one pass over the rows: the oracle the
+// links are checked against.
+std::map<Itemset, uint32_t> RowsByItemset(const PatternTable& table) {
+  std::map<Itemset, uint32_t> rows;
+  for (size_t i = 0; i < table.size(); ++i) {
+    rows.emplace(table.row(i).items, static_cast<uint32_t>(i));
+  }
+  return rows;
+}
+
+// Every link equals the row of the materialized subset, or kNoLink
+// exactly when that subset is not in the table.
+void ExpectLinksMatchOracle(const PatternTable& table,
+                            const std::string& what) {
+  const std::map<Itemset, uint32_t> rows = RowsByItemset(table);
+  ASSERT_EQ(rows.size(), table.size()) << what;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const Itemset& items = table.row(i).items;
+    const auto links = table.SubsetLinks(i);
+    ASSERT_EQ(links.size(), items.size()) << what;
+    for (size_t j = 0; j < items.size(); ++j) {
+      const auto it = rows.find(Without(items, items[j]));
+      const uint32_t want =
+          it == rows.end() ? PatternTable::kNoLink : it->second;
+      ASSERT_EQ(links[j], want)
+          << what << ": " << ItemsetDebugString(items) << " skip " << j;
+    }
+  }
+}
+
+// `shuffled` holds the same itemsets as `canonical` in another row
+// order; its links must be the canonical table's links carried through
+// that row permutation.
+void ExpectLinksFollowPermutation(const PatternTable& canonical,
+                                  const PatternTable& shuffled,
+                                  const std::string& what) {
+  ASSERT_EQ(shuffled.size(), canonical.size()) << what;
+  for (size_t i = 0; i < shuffled.size(); ++i) {
+    const auto c = canonical.Find(shuffled.row(i).items);
+    ASSERT_TRUE(c.has_value()) << what;
+    const auto got = shuffled.SubsetLinks(i);
+    const auto want = canonical.SubsetLinks(*c);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t j = 0; j < got.size(); ++j) {
+      if (want[j] == PatternTable::kNoLink) {
+        EXPECT_EQ(got[j], PatternTable::kNoLink) << what;
+        continue;
+      }
+      ASSERT_NE(got[j], PatternTable::kNoLink) << what;
+      EXPECT_EQ(shuffled.row(got[j]).items, canonical.row(want[j]).items)
+          << what;
+    }
+  }
+}
+
+std::vector<MinedPattern> MinedFromTable(const PatternTable& table) {
+  std::vector<MinedPattern> mined;
+  mined.reserve(table.size());
+  for (const PatternRow& row : table.rows()) {
+    mined.push_back({row.items, row.counts});
+  }
+  return mined;
+}
+
+// Shuffles every row but the first (the empty itemset), so truncation
+// by a guard still keeps the root.
+std::vector<MinedPattern> ShuffledAfterRoot(std::vector<MinedPattern> mined,
+                                            uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MinedPattern> rest(mined.begin() + 1, mined.end());
+  rng.Shuffle(&rest);
+  std::copy(rest.begin(), rest.end(), mined.begin() + 1);
+  return mined;
+}
+
+PatternTable CreateOrDie(std::vector<MinedPattern> mined,
+                         const ItemCatalog& catalog, size_t threads,
+                         RunGuard* guard = nullptr) {
+  PatternTableOptions options;
+  options.num_threads = threads;
+  auto table =
+      PatternTable::Create(std::move(mined), catalog, 600, guard, options);
+  DIVEXP_CHECK(table.ok());
+  return std::move(table).value();
+}
+
+// 600 rows × 8 three-valued attributes at s=0.003: about 20k patterns,
+// with levels 4 and 5 several thousand rows wide.
+EncodedDataset WideCase() {
+  Rng rng(77);
+  std::vector<std::vector<int>> cells(600, std::vector<int>(8));
+  for (auto& row : cells) {
+    for (int& cell : row) cell = static_cast<int>(rng.Below(3));
+  }
+  return MakeEncoded(cells, std::vector<int>(8, 3));
+}
+
+std::vector<Outcome> WideOutcomes() {
+  Rng rng(78);
+  std::string outcomes;
+  for (int r = 0; r < 600; ++r) outcomes += rng.Bernoulli(0.3) ? 'T' : 'F';
+  return testing::OutcomesFromString(outcomes);
+}
+
+TEST(SubsetLinkTest, CompleteMinedTablesMatchOracle) {
+  const EncodedDataset encoded = WideCase();
+  const std::vector<Outcome> outcomes = WideOutcomes();
+  for (MinerKind miner :
+       {MinerKind::kFpGrowth, MinerKind::kApriori, MinerKind::kEclat}) {
+    for (size_t threads : kLinkThreads) {
+      ExplorerOptions opts;
+      opts.min_support = 0.003;
+      opts.miner = miner;
+      opts.num_threads = threads;
+      auto table = DivergenceExplorer(opts).ExploreOutcomes(encoded, outcomes);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_GT(table->size(), 10000u);
+      const std::string what = std::string(MinerKindName(miner)) +
+                               " threads=" + std::to_string(threads);
+      ExpectLinksMatchOracle(*table, what);
+      for (size_t i = 0; i < table->size(); ++i) {
+        for (uint32_t link : table->SubsetLinks(i)) {
+          ASSERT_NE(link, PatternTable::kNoLink) << what;
+        }
+      }
+      const PatternTable shuffled = CreateOrDie(
+          ShuffledAfterRoot(MinedFromTable(*table), threads), table->catalog(),
+          threads);
+      ExpectLinksMatchOracle(shuffled, what + " shuffled");
+      ExpectLinksFollowPermutation(*table, shuffled, what + " shuffled");
+    }
+  }
+}
+
+// Random itemsets over 30 items: most subsets are absent, so most links
+// take the binary-search fallback or come out kNoLink.
+std::vector<MinedPattern> RandomNonClosed(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::set<Itemset> unique = {Itemset{}};
+  while (unique.size() < count + 1) {
+    std::vector<uint32_t> ids(1 + rng.Below(6));
+    for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.Below(30));
+    unique.insert(MakeItemset(std::move(ids)));
+  }
+  std::vector<MinedPattern> mined;
+  for (const Itemset& items : unique) {
+    mined.push_back({items, OutcomeCounts{1 + rng.Below(5), 1, 0}});
+  }
+  return mined;
+}
+
+ItemCatalog ThirtyItemCatalog() {
+  ItemCatalog catalog;
+  std::vector<std::string> values;
+  for (int v = 0; v < 30; ++v) values.push_back("v" + std::to_string(v));
+  catalog.AddAttribute("a", values);
+  return catalog;
+}
+
+TEST(SubsetLinkTest, NonClosedTablesMatchOracle) {
+  const ItemCatalog catalog = ThirtyItemCatalog();
+  for (uint64_t seed : {3u, 4u}) {
+    std::vector<MinedPattern> mined = RandomNonClosed(seed, 12000);
+    SortPatterns(&mined);
+    for (size_t threads : kLinkThreads) {
+      const std::string what = "seed=" + std::to_string(seed) +
+                               " threads=" + std::to_string(threads);
+      const PatternTable canonical = CreateOrDie(mined, catalog, threads);
+      ExpectLinksMatchOracle(canonical, what);
+      const PatternTable shuffled =
+          CreateOrDie(ShuffledAfterRoot(mined, seed + threads), catalog,
+                      threads);
+      ExpectLinksMatchOracle(shuffled, what + " shuffled");
+      ExpectLinksFollowPermutation(canonical, shuffled, what + " shuffled");
+    }
+  }
+}
+
+// A complete table with a fifth of its rows dropped: prefixes and
+// child ranges have gaps, so the walk mixes all three of its paths.
+TEST(SubsetLinkTest, ThinnedMinedTablesMatchOracle) {
+  ExplorerOptions opts;
+  opts.min_support = 0.003;
+  auto table = DivergenceExplorer(opts).ExploreOutcomes(WideCase(),
+                                                        WideOutcomes());
+  ASSERT_TRUE(table.ok());
+  Rng rng(5);
+  std::vector<MinedPattern> thinned;
+  for (MinedPattern& p : MinedFromTable(*table)) {
+    if (p.items.empty() || !rng.Bernoulli(0.2)) thinned.push_back(std::move(p));
+  }
+  for (size_t threads : kLinkThreads) {
+    const std::string what = "threads=" + std::to_string(threads);
+    const PatternTable canonical =
+        CreateOrDie(thinned, table->catalog(), threads);
+    ExpectLinksMatchOracle(canonical, what);
+    const PatternTable shuffled = CreateOrDie(
+        ShuffledAfterRoot(thinned, threads), table->catalog(), threads);
+    ExpectLinksFollowPermutation(canonical, shuffled, what + " shuffled");
+  }
+}
+
+// A memory budget cuts the row set mid-pass: a canonical input keeps a
+// prefix of the order, a shuffled one an arbitrary subset whose kept
+// rows lose some of their subsets.
+TEST(SubsetLinkTest, GuardTruncatedTablesMatchOracle) {
+  ExplorerOptions opts;
+  opts.min_support = 0.003;
+  auto table = DivergenceExplorer(opts).ExploreOutcomes(WideCase(),
+                                                        WideOutcomes());
+  ASSERT_TRUE(table.ok());
+  const std::vector<MinedPattern> mined = MinedFromTable(*table);
+  for (size_t threads : kLinkThreads) {
+    for (bool shuffle : {false, true}) {
+      RunGuard guard(OneMiBLimit());
+      LeaveBudget(guard, 600 * 1024);
+      const PatternTable truncated = CreateOrDie(
+          shuffle ? ShuffledAfterRoot(mined, 9) : mined, table->catalog(),
+          threads, &guard);
+      ASSERT_TRUE(guard.stopped());
+      ASSERT_LT(truncated.size(), mined.size());
+      ASSERT_GT(truncated.size(), 2048u);
+      ExpectLinksMatchOracle(
+          truncated, "threads=" + std::to_string(threads) +
+                         (shuffle ? " shuffled" : " canonical"));
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/shapley.h"
 #include "testing/test_explore.h"
+#include "util/random.h"
 
 namespace divexp {
 namespace {
@@ -72,6 +77,92 @@ TEST(TableIoTest, RoundTrippedTableSupportsAnalysis) {
   double sum = 0.0;
   for (const auto& c : *contributions) sum += c.contribution;
   EXPECT_NEAR(sum, *back->Divergence(*pair), 1e-9);
+}
+
+// An itemset as its sorted "attr=value" names, which survive the item
+// renumbering of a CSV reload.
+std::vector<std::string> ItemNames(const PatternTable& table,
+                                   const Itemset& items) {
+  std::vector<std::string> names;
+  for (uint32_t id : items) {
+    const auto& info = table.catalog().item(id);
+    names.push_back(table.catalog().attribute_name(info.attribute) + "=" +
+                    info.value);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+struct RowDigest {
+  OutcomeCounts counts;
+  double support, rate, divergence, t;
+  /// Removed item's name → the linked subset's names ({"-"} = kNoLink).
+  std::map<std::string, std::vector<std::string>> links;
+
+  bool operator==(const RowDigest&) const = default;
+};
+
+std::map<std::vector<std::string>, RowDigest> Digest(
+    const PatternTable& table) {
+  std::map<std::vector<std::string>, RowDigest> out;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const PatternRow& row = table.row(i);
+    RowDigest d{row.counts, row.support, row.rate, row.divergence, row.t,
+                {}};
+    const auto links = table.SubsetLinks(i);
+    for (size_t j = 0; j < links.size(); ++j) {
+      d.links[ItemNames(table, {row.items[j]})[0]] =
+          links[j] == PatternTable::kNoLink
+              ? std::vector<std::string>{"-"}
+              : ItemNames(table, table.row(links[j]).items);
+    }
+    out.emplace(ItemNames(table, row.items), std::move(d));
+  }
+  return out;
+}
+
+// CSV rows in any order reload to the same table: the reader's rows are
+// not in canonical order, so the table builds its canonical permutation
+// and walks the links through it.
+TEST(TableIoTest, ShuffledCsvRowsReloadToTheSameTable) {
+  Rng rng(31);
+  std::vector<std::vector<int>> cells(80, std::vector<int>(4));
+  std::string outcomes;
+  for (auto& row : cells) {
+    for (int& cell : row) cell = static_cast<int>(rng.Below(3));
+    outcomes += rng.Bernoulli(0.4) ? 'T' : 'F';
+  }
+  const PatternTable table =
+      ExploreForTest(cells, {3, 3, 3, 3}, outcomes, 0.02);
+  ASSERT_GT(table.size(), 100u);
+  const std::string csv = WritePatternTableCsv(table);
+  auto canonical = ReadPatternTableCsv(csv, table.num_dataset_rows());
+  ASSERT_TRUE(canonical.ok());
+
+  std::vector<std::string> lines;
+  size_t start = 0;
+  for (size_t nl; (nl = csv.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(csv.substr(start, nl + 1 - start));
+  }
+  ASSERT_EQ(lines.size(), table.size() + 1);
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng shuffle(seed);
+    std::vector<std::string> body(lines.begin() + 1, lines.end());
+    shuffle.Shuffle(&body);
+    std::string shuffled_csv = lines[0];
+    for (const std::string& line : body) shuffled_csv += line;
+    auto shuffled =
+        ReadPatternTableCsv(shuffled_csv, table.num_dataset_rows());
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+    ASSERT_EQ(shuffled->size(), canonical->size());
+    EXPECT_EQ(shuffled->global_rate(), canonical->global_rate());
+    EXPECT_TRUE(Digest(*shuffled) == Digest(*canonical)) << "seed " << seed;
+    for (size_t i = 0; i < shuffled->size(); ++i) {
+      EXPECT_EQ(shuffled->Find(shuffled->row(i).items),
+                std::optional<size_t>(i));
+    }
+  }
 }
 
 TEST(TableIoTest, FileRoundTrip) {

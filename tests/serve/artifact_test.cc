@@ -109,6 +109,38 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
   }
 }
 
+// The table and its served view search the same canonical order with
+// the same shared search: both find every row at the same index and
+// miss the same absent keys.
+TEST(ArtifactTest, TableFindAndViewFindRowAgree) {
+  const PatternTable table = MakeRandomTable(5, 300, 5, 3, 0.005);
+  const std::string bytes = WriteArtifactBytes(table, "find");
+  auto artifact = PatternTableArtifact::FromBuffer(bytes);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  const TableView& view = (*artifact)->view();
+  ASSERT_EQ(view.size(), table.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    const ItemSpan items(table.row(i).items);
+    EXPECT_EQ(table.Find(items), std::optional<size_t>(i));
+    EXPECT_EQ(view.FindRow(items), std::optional<size_t>(i));
+  }
+  const uint32_t num_items = table.catalog().num_items();
+  Rng rng(17);
+  size_t absent = 0;
+  for (int probe = 0; probe < 3000; ++probe) {
+    std::vector<uint32_t> ids(rng.Below(6));
+    for (uint32_t& id : ids) {
+      id = static_cast<uint32_t>(rng.Below(num_items));
+    }
+    const Itemset key = MakeItemset(std::move(ids));
+    const std::optional<size_t> found = table.Find(key);
+    EXPECT_EQ(view.FindRow(ItemSpan(key)), found)
+        << ItemsetDebugString(key);
+    if (!found.has_value()) ++absent;
+  }
+  EXPECT_GT(absent, 500u);
+}
+
 /// 27,878 rows: every row-wise section spans several of the writer's
 /// stream chunks.
 const PatternTable& MultiChunkTable() {
