@@ -31,6 +31,9 @@ struct CorrectiveOptions {
   /// of |Δ(I)| is NOT enforced; set min_factor instead. Kept simple on
   /// purpose: the paper ranks purely by corrective factor.
   size_t top_k = 0;  ///< 0 = all
+  /// Workers for FindCorrectiveItems' scan; 1 = sequential. The result
+  /// does not depend on it. QueryEngine::Corrective ignores it.
+  size_t num_threads = 1;
 };
 
 /// A qualifying corrective pair by row index; its base itemset is only
@@ -68,18 +71,15 @@ class CorrectiveSelector {
     // Written so a NaN factor (only a corrupt serving artifact's stats
     // can produce one) never qualifies and never reaches the ordering.
     if (!(factor > options_.min_factor && factor > 0.0)) return;
-    const CorrectiveCandidate candidate{factor, base, superset, item};
-    if (options_.top_k == 0) {
-      kept_.push_back(candidate);
-    } else if (kept_.size() < options_.top_k) {
-      kept_.push_back(candidate);
-      std::push_heap(kept_.begin(), kept_.end(), Order());
-    } else if (Before(candidate, kept_.front())) {
-      // The heap's front is the worst pair kept; the new one replaces it.
-      std::pop_heap(kept_.begin(), kept_.end(), Order());
-      kept_.back() = candidate;
-      std::push_heap(kept_.begin(), kept_.end(), Order());
-    }
+    Keep(CorrectiveCandidate{factor, base, superset, item});
+  }
+
+  /// Folds in every pair `other` kept. Because the order is total, a
+  /// scan split across selectors and merged keeps the same pairs as one
+  /// selector over the whole scan.
+  void Merge(CorrectiveSelector&& other) {
+    for (const CorrectiveCandidate& candidate : other.kept_) Keep(candidate);
+    other.kept_.clear();
   }
 
   /// The kept pairs, best first. Leaves the selector empty.
@@ -93,6 +93,21 @@ class CorrectiveSelector {
   }
 
  private:
+  /// Keeps `candidate` if it is among the best top_k pairs so far.
+  void Keep(const CorrectiveCandidate& candidate) {
+    if (options_.top_k == 0) {
+      kept_.push_back(candidate);
+    } else if (kept_.size() < options_.top_k) {
+      kept_.push_back(candidate);
+      std::push_heap(kept_.begin(), kept_.end(), Order());
+    } else if (Before(candidate, kept_.front())) {
+      // The heap's front is the worst pair kept; the new one replaces it.
+      std::pop_heap(kept_.begin(), kept_.end(), Order());
+      kept_.back() = candidate;
+      std::push_heap(kept_.begin(), kept_.end(), Order());
+    }
+  }
+
   /// Before() as a comparator for the standard heap and sort algorithms.
   auto Order() const {
     return [this](const CorrectiveCandidate& a,
@@ -120,7 +135,9 @@ class CorrectiveSelector {
 /// Scans the pattern table for corrective (I, α) pairs, ranked by
 /// CorrectiveSelector's order and cut to options.top_k. Both I and
 /// I ∪ {α} must be frequent, which the complete exploration guarantees
-/// whenever the superset is.
+/// whenever the superset is. With options.num_threads > 1 each worker
+/// scans a contiguous share of the links into its own selector, and the
+/// selectors are merged.
 std::vector<CorrectiveItem> FindCorrectiveItems(
     const PatternTable& table, const CorrectiveOptions& options = {});
 

@@ -75,10 +75,11 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   // immediate-subset lattice links. Every stat and link is a pure
   // function of the row set, so results are identical across thread
   // counts.
-  obs::StageTimer timer(options.stages, obs::kStagePostIndex);
+  obs::StageTimer timer(options.stages, obs::kStagePostIndex,
+                        obs::StageTimer::Nesting::kNested);
   obs::ScopedSpan span(obs::kStagePostIndex);
   const size_t n = table.rows_.size();
-  DIVEXP_ASSIGN_OR_RETURN(const bool identity,
+  DIVEXP_ASSIGN_OR_RETURN(table.canonical_,
                           table.BuildOrder(options.num_threads));
 
   table.link_offsets_.resize(n + 1, 0);
@@ -90,7 +91,7 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   const double denom =
       num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
   const uint64_t scratch_bytes =
-      table.BuildStatsAndLinks(denom, options.num_threads, identity);
+      table.BuildStatsAndLinks(denom, options.num_threads, table.canonical_);
   timer.AddItems(n);
   timer.SetPeakBytes(
       (table.subset_links_.size() + table.order_.size()) *

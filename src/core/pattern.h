@@ -124,6 +124,16 @@ class PatternTable {
   /// Every row's SubsetLinks back to back, in row order.
   std::span<const uint32_t> subset_links() const { return subset_links_; }
 
+  /// n + 1 offsets: row i's links are [link_offsets()[i],
+  /// link_offsets()[i+1]) of subset_links(). A row has one link per item,
+  /// so these are also the running offsets of the rows' items.
+  std::span<const uint64_t> link_offsets() const { return link_offsets_; }
+
+  /// True when Create found its input already in canonical order, so row
+  /// i is the i-th itemset of that order (every explorer path sorts
+  /// first). Rows are never reordered after Create.
+  bool canonical() const { return canonical_; }
+
   /// Sort key for ranking patterns (paper §5: itemsets can be ranked
   /// by significance, support or f-divergence).
   enum class RankKey {
@@ -183,7 +193,9 @@ class PatternTable {
   /// Flat immediate-subset links; row i owns
   /// [link_offsets_[i], link_offsets_[i+1]).
   std::vector<uint32_t> subset_links_;
-  std::vector<size_t> link_offsets_;
+  std::vector<uint64_t> link_offsets_;
+  /// order_ is the identity.
+  bool canonical_ = false;
   ItemCatalog catalog_;
   size_t num_dataset_rows_ = 0;
   double global_rate_ = 0.0;

@@ -33,7 +33,9 @@ void StageCollector::MergeFrom(const std::vector<StageStats>& stages) {
 
 double StageCollector::TotalWallMs() const {
   double total = 0.0;
-  for (const StageStats& s : stages_) total += s.wall_ms;
+  for (const StageStats& s : stages_) {
+    if (!s.nested) total += s.wall_ms;
+  }
   return total;
 }
 
@@ -50,6 +52,7 @@ void StageTimer::Finish() {
   stats.peak_bytes = peak_bytes_;
   stats.guard_checks = guard_checks_;
   stats.calls = 1;
+  stats.nested = nested_;
   collector_->Record(std::move(stats));
 }
 
@@ -67,7 +70,7 @@ std::string FormatStageTable(const std::vector<StageStats>& stages) {
            Pad(std::to_string(s.peak_bytes), 14, true) +
            Pad(std::to_string(s.guard_checks), 14, true) +
            Pad(std::to_string(s.calls), 8, true) + "\n";
-    total_ms += s.wall_ms;
+    if (!s.nested) total_ms += s.wall_ms;
   }
   out += Pad("total", 22) + Pad(FormatDouble(total_ms, 3), 12, true) + "\n";
   return out;

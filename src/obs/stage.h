@@ -64,6 +64,9 @@ struct StageStats {
   uint64_t guard_checks = 0;
   /// How many stage executions were merged into this record.
   uint64_t calls = 0;
+  /// A sub-interval of another stage (explore.post_index inside
+  /// explore.divergence): shown, but left out of totals.
+  bool nested = false;
 
   StageStats& Merge(const StageStats& other);
 };
@@ -85,7 +88,7 @@ class StageCollector {
   bool empty() const { return stages_.empty(); }
   void Reset() { stages_.clear(); }
 
-  /// Total wall-clock milliseconds across all stages.
+  /// Total wall-clock milliseconds across the top-level stages.
   double TotalWallMs() const;
 
  private:
@@ -97,8 +100,15 @@ class StageCollector {
 /// by the instrumented code as it learns them.
 class StageTimer {
  public:
-  StageTimer(StageCollector* collector, const char* name)
-      : collector_(collector), name_(name), start_(Clock::now()) {}
+  /// Whether the timed stage runs inside another timed stage.
+  enum class Nesting { kTopLevel, kNested };
+
+  StageTimer(StageCollector* collector, const char* name,
+             Nesting nesting = Nesting::kTopLevel)
+      : collector_(collector),
+        name_(name),
+        nested_(nesting == Nesting::kNested),
+        start_(Clock::now()) {}
   ~StageTimer() { Finish(); }
 
   StageTimer(const StageTimer&) = delete;
@@ -118,6 +128,7 @@ class StageTimer {
 
   StageCollector* collector_;
   const char* name_;
+  bool nested_;
   Clock::time_point start_;
   uint64_t items_ = 0;
   uint64_t peak_bytes_ = 0;
@@ -126,7 +137,8 @@ class StageTimer {
 };
 
 /// Fixed-width table of the collected stages for stderr (--trace and
-/// the CLI's verbose output).
+/// the CLI's verbose output). Its `total` row sums the top-level stages
+/// only, so a nested stage's time is not counted twice.
 std::string FormatStageTable(const std::vector<StageStats>& stages);
 
 }  // namespace obs

@@ -32,7 +32,9 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents);
 /// destination is untouched, and on destruction without Commit() the
 /// temp file is unlinked. Same crash contract as WriteFileAtomic: the
 /// destination holds either its previous contents or the complete new
-/// contents, never a torn mix.
+/// contents, never a torn mix. Every 8 MiB appended, the writer asks
+/// the kernel to start writing that range back (Linux), so Commit's
+/// fsync does not wait for the whole file.
 ///
 /// Not thread-safe; one writer streams one file.
 class AtomicFileWriter {
@@ -77,7 +79,11 @@ class AtomicFileWriter {
   std::string path_;
   std::string tmp_;
   int fd_ = -1;
+  /// Appended bytes between two early-writeback requests.
+  static constexpr uint64_t kWritebackBytes = uint64_t{8} << 20;
+
   uint64_t appended_ = 0;
+  uint64_t writeback_from_ = 0;  ///< start of the not-yet-requested range
   Status dead_;  ///< first failure; writer unusable once non-OK
   bool committed_ = false;
 };

@@ -35,6 +35,23 @@ constexpr Crc32Tables MakeTables() {
 
 constexpr Crc32Tables kTables = MakeTables();
 
+/// A linear operator on 32-bit CRC states: column k is the image of bit k.
+using Gf2Matrix = std::array<uint32_t, 32>;
+
+uint32_t Gf2Times(const Gf2Matrix& mat, uint32_t vec) {
+  uint32_t sum = 0;
+  for (size_t k = 0; vec != 0; vec >>= 1, ++k) {
+    if ((vec & 1u) != 0) sum ^= mat[k];
+  }
+  return sum;
+}
+
+Gf2Matrix Gf2Square(const Gf2Matrix& mat) {
+  Gf2Matrix square{};
+  for (size_t k = 0; k < 32; ++k) square[k] = Gf2Times(mat, mat[k]);
+  return square;
+}
+
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
@@ -59,6 +76,22 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
     crc = kTables[0][(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+uint32_t Crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
+  if (len2 == 0) return crc1;
+  // `shift` advances a CRC state past one zero bit; squaring it doubles
+  // the distance, so after two squarings it covers one zero byte. crc1
+  // is then pushed past len2 zero bytes, one set bit of len2 at a time.
+  Gf2Matrix shift{};
+  shift[0] = kPoly;
+  for (size_t k = 1; k < 32; ++k) shift[k] = 1u << (k - 1);
+  shift = Gf2Square(Gf2Square(shift));
+  for (; len2 != 0; len2 >>= 1) {
+    shift = Gf2Square(shift);
+    if ((len2 & 1u) != 0) crc1 = Gf2Times(shift, crc1);
+  }
+  return crc1 ^ crc2;
 }
 
 }  // namespace recovery

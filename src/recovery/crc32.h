@@ -25,6 +25,12 @@ inline uint32_t Crc32(std::string_view data) {
   return Crc32Update(0, data.data(), data.size());
 }
 
+/// The CRC of A followed by B, from crc1 = Crc32(A), crc2 = Crc32(B)
+/// and len2 = |B|, without reading either buffer: O(log len2) 32×32
+/// GF(2) matrix squarings (zlib's crc32_combine). Lets a buffer's pieces
+/// be checksummed in parallel and joined in order.
+uint32_t Crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2);
+
 }  // namespace recovery
 }  // namespace divexp
 

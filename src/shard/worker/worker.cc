@@ -256,7 +256,8 @@ int ShardWorkerMain(const std::vector<std::string>& args) {
                            db->num_rows());
   if (!table.ok()) return ReportFatal(&sender, table.status(), stats, 1);
   const Status written =
-      serve::WritePatternTableArtifact(spec->result_path, *table);
+      serve::WritePatternTableArtifact(spec->result_path, *table, nullptr,
+                                       spec->base.num_threads);
   if (!written.ok()) return ReportFatal(&sender, written, stats, 1);
 
   Frame done;

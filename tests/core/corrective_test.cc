@@ -223,7 +223,7 @@ TEST(CorrectivePropertyTest, MinFactorKeepsExactlyTheLargerFactors) {
 // binary fractions): ({a0=v0}, a1=v0) and ({a0=v0}, a2=v0) tie up to
 // the item; ({a1=v0}, a0=v0) loses to both on base items; and
 // ({a1=v0, a2=v0}, a0=v0) comes last on base length.
-TEST(CorrectivePropertyTest, ExactTiesBreakOnBaseLengthItemsThenItem) {
+PatternTable MakeTieTable() {
   ItemCatalog catalog;
   catalog.AddAttribute("a0", {"v0", "v1"});  // items 0, 1
   catalog.AddAttribute("a1", {"v0", "v1"});  // items 2, 3
@@ -238,7 +238,12 @@ TEST(CorrectivePropertyTest, ExactTiesBreakOnBaseLengthItemsThenItem) {
   mined.push_back({Itemset{2}, OutcomeCounts{4, 0, 0}});     // Δ = .5
   mined.push_back({Itemset{0}, OutcomeCounts{4, 0, 0}});     // Δ = .5
   auto table = PatternTable::Create(std::move(mined), catalog, 16);
-  ASSERT_TRUE(table.ok());
+  DIVEXP_CHECK_OK(table.status());
+  return std::move(table).value();
+}
+
+TEST(CorrectivePropertyTest, ExactTiesBreakOnBaseLengthItemsThenItem) {
+  const PatternTable table = MakeTieTable();
 
   const std::vector<std::pair<Itemset, uint32_t>> expected = {
       {{0}, 2}, {{0}, 4}, {{2}, 0}, {{2, 4}, 0}};
@@ -246,7 +251,7 @@ TEST(CorrectivePropertyTest, ExactTiesBreakOnBaseLengthItemsThenItem) {
     CorrectiveOptions options;
     options.top_k = k;
     const std::vector<CorrectiveItem> got =
-        FindCorrectiveItems(*table, options);
+        FindCorrectiveItems(table, options);
     const size_t n = k == 0 ? expected.size() : k;
     ASSERT_EQ(got.size(), n) << "k=" << k;
     for (size_t j = 0; j < n; ++j) {
@@ -257,26 +262,27 @@ TEST(CorrectivePropertyTest, ExactTiesBreakOnBaseLengthItemsThenItem) {
   }
 }
 
-// A guard truncation drops {a0=v0} after {a0=v0, a1=v0} was kept, so one
-// of the superset's links is kNoLink: that pair is skipped and the pair
-// over the surviving link is still found.
-TEST(CorrectivePropertyTest, TruncatedLinksAreSkipped) {
+// The rows of TruncatedTable(), in input order: the superset comes
+// first, so a truncation drops a subset of a kept row.
+std::vector<MinedPattern> TruncationInput() {
+  std::vector<MinedPattern> m;
+  m.push_back({Itemset{}, OutcomeCounts{5, 5, 0}});      // Δ = 0
+  m.push_back({Itemset{0, 2}, OutcomeCounts{2, 2, 0}});  // Δ = 0
+  m.push_back({Itemset{2}, OutcomeCounts{4, 1, 0}});     // Δ = .3
+  m.push_back({Itemset{0}, OutcomeCounts{1, 4, 0}});     // Δ = -.3
+  return m;
+}
+
+ItemCatalog TruncationCatalog() {
   ItemCatalog catalog;
   catalog.AddAttribute("a0", {"v0", "v1"});  // items 0, 1
   catalog.AddAttribute("a1", {"v0", "v1"});  // items 2, 3
-  // Superset first, so the truncation drops a subset of a kept row.
-  const auto mined = [] {
-    std::vector<MinedPattern> m;
-    m.push_back({Itemset{}, OutcomeCounts{5, 5, 0}});      // Δ = 0
-    m.push_back({Itemset{0, 2}, OutcomeCounts{2, 2, 0}});  // Δ = 0
-    m.push_back({Itemset{2}, OutcomeCounts{4, 1, 0}});     // Δ = .3
-    m.push_back({Itemset{0}, OutcomeCounts{1, 4, 0}});     // Δ = -.3
-    return m;
-  };
-  auto complete = PatternTable::Create(mined(), catalog, 10);
-  ASSERT_TRUE(complete.ok());
-  EXPECT_EQ(FindCorrectiveItems(*complete).size(), 2u);
+  return catalog;
+}
 
+/// TruncationInput() with {a0=v0} dropped by a guard truncation, after
+/// {a0=v0, a1=v0} was kept: one of that row's links is kNoLink.
+PatternTable MakeTruncatedTable() {
   // A 1 MiB budget pre-charged so only {0, 2} and {2} fit (a row is
   // charged its PatternRow plus item and link words); {0} is dropped.
   RunLimits limits;
@@ -285,24 +291,75 @@ TEST(CorrectivePropertyTest, TruncatedLinksAreSkipped) {
   const auto footprint = [](size_t items) {
     return sizeof(PatternRow) + 2 * items * sizeof(uint32_t);
   };
-  ASSERT_TRUE(
+  DIVEXP_CHECK(
       guard.AddMemory((1ULL << 20) - (footprint(2) + footprint(1) + 4)));
-  auto truncated = PatternTable::Create(mined(), catalog, 10, &guard);
-  ASSERT_TRUE(truncated.ok());
-  ASSERT_TRUE(guard.stopped());
-  ASSERT_EQ(truncated->size(), 3u);
-  ASSERT_EQ(truncated->SubsetLinks(1)[1], PatternTable::kNoLink);
+  auto truncated = PatternTable::Create(TruncationInput(),
+                                        TruncationCatalog(), 10, &guard);
+  DIVEXP_CHECK_OK(truncated.status());
+  DIVEXP_CHECK(guard.stopped());
+  return std::move(truncated).value();
+}
+
+// A guard truncation drops {a0=v0} after {a0=v0, a1=v0} was kept, so one
+// of the superset's links is kNoLink: that pair is skipped and the pair
+// over the surviving link is still found.
+TEST(CorrectivePropertyTest, TruncatedLinksAreSkipped) {
+  auto complete =
+      PatternTable::Create(TruncationInput(), TruncationCatalog(), 10);
+  ASSERT_TRUE(complete.ok());
+  EXPECT_EQ(FindCorrectiveItems(*complete).size(), 2u);
+
+  const PatternTable truncated = MakeTruncatedTable();
+  ASSERT_EQ(truncated.size(), 3u);
+  ASSERT_EQ(truncated.SubsetLinks(1)[1], PatternTable::kNoLink);
 
   for (const size_t top_k : {size_t{0}, size_t{1}, size_t{5}}) {
     CorrectiveOptions options;
     options.top_k = top_k;
     const std::vector<CorrectiveItem> got =
-        FindCorrectiveItems(*truncated, options);
+        FindCorrectiveItems(truncated, options);
     ASSERT_EQ(got.size(), 1u) << "top_k=" << top_k;
     EXPECT_EQ(got[0].base, Itemset{2});
     EXPECT_EQ(got[0].item, 0u);
     EXPECT_NEAR(got[0].factor, 0.3, 1e-12);
   }
+}
+
+// The scan split across num_threads selectors and merged keeps the same
+// pairs in the same order as the serial scan.
+void ExpectSameAtEveryThreadCount(const PatternTable& table) {
+  for (const size_t top_k : {size_t{0}, size_t{1}, size_t{5}, size_t{10}}) {
+    CorrectiveOptions serial;
+    serial.top_k = top_k;
+    const std::vector<CorrectiveItem> want =
+        FindCorrectiveItems(table, serial);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      CorrectiveOptions options = serial;
+      options.num_threads = threads;
+      const std::vector<CorrectiveItem> got =
+          FindCorrectiveItems(table, options);
+      ASSERT_EQ(got.size(), want.size())
+          << "top_k=" << top_k << " threads=" << threads;
+      ExpectSameItems(got, want, got.size());
+    }
+  }
+}
+
+TEST(CorrectiveThreadsTest, RandomTablesMatchTheSerialScan) {
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    ExpectSameAtEveryThreadCount(MakeRandomTable(seed));
+  }
+}
+
+TEST(CorrectiveThreadsTest, ExactTiesMatchTheSerialScan) {
+  ExpectSameAtEveryThreadCount(MakeTieTable());
+}
+
+TEST(CorrectiveThreadsTest, TruncatedLinksMatchTheSerialScan) {
+  const PatternTable truncated = MakeTruncatedTable();
+  ASSERT_EQ(truncated.SubsetLinks(1)[1], PatternTable::kNoLink);
+  ExpectSameAtEveryThreadCount(truncated);
 }
 
 }  // namespace

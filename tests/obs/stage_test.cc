@@ -109,6 +109,34 @@ TEST(FormatStageTableTest, ContainsEveryStageRow) {
   EXPECT_NE(table.find("1000"), std::string::npos);
 }
 
+TEST(StageTimerTest, NestedTimerMarksItsRecord) {
+  StageCollector c;
+  { StageTimer t(&c, kStageDivergence); }
+  {
+    StageTimer t(&c, kStagePostIndex, StageTimer::Nesting::kNested);
+  }
+  ASSERT_EQ(c.stages().size(), 2u);
+  EXPECT_FALSE(c.stages()[0].nested);
+  EXPECT_TRUE(c.stages()[1].nested);
+}
+
+// explore.post_index runs inside explore.divergence: the table shows
+// both rows, but its total counts the nested time once, in its parent.
+TEST(FormatStageTableTest, TotalSumsTopLevelStagesOnly) {
+  StageCollector c;
+  c.Record(Make(kStageMineGrow, 10.0, 1, 0, 0));
+  StageStats post = Make(kStagePostIndex, 4.0, 1, 0, 0);
+  post.nested = true;
+  c.Record(post);
+  c.Record(Make(kStageDivergence, 6.0, 1, 0, 0));
+  EXPECT_DOUBLE_EQ(c.TotalWallMs(), 16.0);
+  const std::string table = FormatStageTable(c.stages());
+  EXPECT_NE(table.find(kStagePostIndex), std::string::npos);
+  const size_t total = table.find("total");
+  ASSERT_NE(total, std::string::npos);
+  EXPECT_NE(table.find("16.000", total), std::string::npos) << table;
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace divexp

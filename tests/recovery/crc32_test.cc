@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,57 @@ TEST(Crc32Test, ChunkedUpdatesMatchOneShotAtEverySplit) {
       }
     }
   }
+}
+
+// Crc32Combine joins the CRCs of two adjacent pieces into the CRC of
+// both, at every split of every short length and alignment.
+TEST(Crc32CombineTest, MatchesOneShotAtEverySplit) {
+  Rng rng(11);
+  std::vector<unsigned char> storage(67 + 8);
+  for (size_t len = 0; len <= 67; ++len) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      unsigned char* buf = storage.data() + misalign;
+      for (size_t i = 0; i < len; ++i) {
+        buf[i] = static_cast<unsigned char>(rng.Below(256));
+      }
+      const uint32_t one_shot = Crc32(buf, len);
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32Combine(Crc32(buf, split),
+                               Crc32(buf + split, len - split), len - split),
+                  one_shot)
+            << "len " << len << " misalign " << misalign << " split "
+            << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32CombineTest, JoinsMebibytePieces) {
+  Rng rng(13);
+  std::vector<unsigned char> buf(size_t{1} << 20);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Below(256));
+  const uint32_t one_shot = Crc32(buf.data(), buf.size());
+  for (const size_t split : {size_t{1}, size_t{4096}, size_t{1} << 19,
+                             buf.size() - 3}) {
+    EXPECT_EQ(Crc32Combine(Crc32(buf.data(), split),
+                           Crc32(buf.data() + split, buf.size() - split),
+                           buf.size() - split),
+              one_shot)
+        << "split " << split;
+  }
+  // Many small pieces joined left to right.
+  uint32_t joined = 0;
+  for (size_t at = 0; at < buf.size(); at += 65537) {
+    const size_t len = std::min<size_t>(65537, buf.size() - at);
+    joined = Crc32Combine(joined, Crc32(buf.data() + at, len), len);
+  }
+  EXPECT_EQ(joined, one_shot);
+}
+
+TEST(Crc32CombineTest, EmptySecondPieceKeepsTheFirstCrc) {
+  EXPECT_EQ(Crc32Combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
+  EXPECT_EQ(Crc32Combine(0, Crc32("123456789"), 9), 0xCBF43926u);
 }
 
 }  // namespace

@@ -23,18 +23,20 @@
 namespace divexp {
 namespace testing {
 
-/// Writes `table` as an artifact to a per-process temp file named after
-/// `leaf`, reads the bytes back and removes the file. A table the
-/// writer rejects (for example one not in canonical order) fails the
-/// calling test through DIVEXP_CHECK.
+/// Writes `table` as an artifact on `num_threads` workers to a
+/// per-process temp file named after `leaf`, reads the bytes back and
+/// removes the file. A table the writer rejects (for example one not in
+/// canonical order) fails the calling test through DIVEXP_CHECK.
 inline std::string WriteArtifactBytes(const PatternTable& table,
-                                      const std::string& leaf = "table") {
+                                      const std::string& leaf = "table",
+                                      size_t num_threads = 1) {
   const char* base = std::getenv("TMPDIR");
   const std::string path =
       std::string(base != nullptr && base[0] != '\0' ? base : "/tmp") +
       "/divexp_artifact_bytes." + std::to_string(::getpid()) + "." + leaf +
       ".dvt";
-  DIVEXP_CHECK_OK(serve::WritePatternTableArtifact(path, table));
+  DIVEXP_CHECK_OK(
+      serve::WritePatternTableArtifact(path, table, nullptr, num_threads));
   auto bytes = recovery::ReadFileToString(path);
   DIVEXP_CHECK_OK(bytes.status());
   std::remove(path.c_str());

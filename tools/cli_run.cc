@@ -291,6 +291,7 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
     obs::StageTimer timer(&run_stages, obs::kStageCorrective);
     CorrectiveOptions copts;
     copts.top_k = opts.top_k;
+    copts.num_threads = opts.num_threads;
     const auto corrective = FindCorrectiveItems(table, copts);
     timer.AddItems(corrective.size());
     timer.Finish();
@@ -332,7 +333,7 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
     obs::StageTimer timer(&run_stages, obs::kStageArtifact);
     uint64_t bytes = 0;
     DIVEXP_RETURN_NOT_OK(serve::WritePatternTableArtifact(
-        opts.artifact_path, table, &bytes));
+        opts.artifact_path, table, &bytes, opts.num_threads));
     timer.AddItems(bytes);
     timer.Finish();
     log << "serving artifact written to " << opts.artifact_path << " ("
